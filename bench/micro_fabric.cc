@@ -2,13 +2,18 @@
 //
 // Two sweeps over a ring-of-rings fabric:
 //
-//   shards  — events/sec as the fabric grows (1, 2, 4, 8 shards at --jobs=1): does
-//             per-event cost stay flat as rings are added, or do the sync rounds eat it?
-//   threads — events/sec for the fixed 8-shard fabric at jobs = 1, 2, 4, 8, plus the
-//             parallel speedup over the single-threaded run. Because the determinism
-//             contract makes every jobs value execute the identical event sequence, the
-//             ratio is a pure measurement of the shard pool: barrier overhead vs. the
-//             per-window work it parallelizes.
+//   shards  — simulated ms per host second as the fabric grows (1, 2, 4, 8 shards at
+//             --jobs=1). With a flat per-ring cost it falls as 1/shards; a steeper fall
+//             means the sync rounds eat the time.
+//   threads — simulated ms per host second for the fixed 8-shard fabric at jobs = 1, 2,
+//             4, 8, plus the parallel speedup over the single-threaded run. Because the
+//             determinism contract makes every jobs value execute the identical event
+//             sequence, the ratio is a pure measurement of the shard pool: barrier
+//             overhead vs. the per-window work it parallelizes.
+//
+// Throughput is simulated time, not events, per host second: how much work one event does
+// is the CPU model's choice (one event covers a whole run of steps), so an events/sec
+// figure would fall whenever the model needs fewer events for the same simulation.
 //
 // The sync-round count is also emitted — rounds ~= duration / link latency, the knob
 // that trades lookahead for barrier frequency. Speedup depends on the host: on fewer
@@ -33,7 +38,7 @@ namespace {
 
 struct Sample {
   int64_t jobs;
-  double events_per_sec;
+  double sim_ms_per_sec;
   uint64_t events;
   uint64_t rounds;
 };
@@ -53,8 +58,8 @@ Sample RunOnce(int64_t rings, int64_t jobs, SimDuration duration) {
   if (!report.Healthy()) {
     std::fputs("bench fabric run was not healthy\n", stderr);
   }
-  return Sample{jobs, static_cast<double>(report.events_executed) / seconds,
-                report.events_executed, report.sync_rounds};
+  const double sim_ms = static_cast<double>(duration) / static_cast<double>(kMillisecond);
+  return Sample{jobs, sim_ms / seconds, report.events_executed, report.sync_rounds};
 }
 
 }  // namespace
@@ -77,24 +82,24 @@ int main(int argc, char** argv) {
   const SimDuration duration = smoke ? Seconds(2) : Seconds(20);
 
   std::string json;
-  PrintHeader("micro_fabric — ring-of-rings, events/sec vs shard count (--jobs=1)");
-  std::printf("  %-8s %16s %12s %10s\n", "shards", "events/sec", "events", "rounds");
+  PrintHeader("micro_fabric — ring-of-rings, sim ms/sec vs shard count (--jobs=1)");
+  std::printf("  %-8s %16s %12s %10s\n", "shards", "sim ms/sec", "events", "rounds");
   for (const int64_t rings : {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8}}) {
     const Sample sample = RunOnce(rings, 1, duration);
-    std::printf("  %-8lld %16.0f %12llu %10llu\n", static_cast<long long>(rings),
-                sample.events_per_sec, static_cast<unsigned long long>(sample.events),
+    std::printf("  %-8lld %16.1f %12llu %10llu\n", static_cast<long long>(rings),
+                sample.sim_ms_per_sec, static_cast<unsigned long long>(sample.events),
                 static_cast<unsigned long long>(sample.rounds));
     char line[128];
     std::snprintf(line, sizeof(line),
-                  "{\"bench\":\"fabric\",\"metric\":\"shards%lld_events_per_sec\","
-                  "\"value\":%.0f}\n",
-                  static_cast<long long>(rings), sample.events_per_sec);
+                  "{\"bench\":\"fabric\",\"metric\":\"shards%lld_sim_ms_per_sec\","
+                  "\"value\":%.1f}\n",
+                  static_cast<long long>(rings), sample.sim_ms_per_sec);
     json += line;
   }
 
-  PrintHeader("micro_fabric — 8-shard ring-of-rings, events/sec vs shard-pool threads");
+  PrintHeader("micro_fabric — 8-shard ring-of-rings, sim ms/sec vs shard-pool threads");
   const Sample baseline = RunOnce(8, 1, duration);
-  std::printf("  %-8s %16s %10s %10s\n", "jobs", "events/sec", "speedup", "rounds");
+  std::printf("  %-8s %16s %10s %10s\n", "jobs", "sim ms/sec", "speedup", "rounds");
   for (const int64_t jobs : {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8}}) {
     const Sample sample = jobs == 1 ? baseline : RunOnce(8, jobs, duration);
     if (sample.events != baseline.events || sample.rounds != baseline.rounds) {
@@ -106,16 +111,16 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(sample.rounds));
       return 1;
     }
-    const double speedup = sample.events_per_sec / baseline.events_per_sec;
-    std::printf("  %-8lld %16.0f %9.2fx %10llu\n", static_cast<long long>(jobs),
-                sample.events_per_sec, speedup,
+    const double speedup = sample.sim_ms_per_sec / baseline.sim_ms_per_sec;
+    std::printf("  %-8lld %16.1f %9.2fx %10llu\n", static_cast<long long>(jobs),
+                sample.sim_ms_per_sec, speedup,
                 static_cast<unsigned long long>(sample.rounds));
     char line[256];
     std::snprintf(line, sizeof(line),
-                  "{\"bench\":\"fabric\",\"metric\":\"jobs%lld_events_per_sec\","
-                  "\"value\":%.0f}\n"
+                  "{\"bench\":\"fabric\",\"metric\":\"jobs%lld_sim_ms_per_sec\","
+                  "\"value\":%.1f}\n"
                   "{\"bench\":\"fabric\",\"metric\":\"jobs%lld_speedup\",\"value\":%.3f}\n",
-                  static_cast<long long>(jobs), sample.events_per_sec,
+                  static_cast<long long>(jobs), sample.sim_ms_per_sec,
                   static_cast<long long>(jobs), speedup);
     json += line;
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the full quality gate from ARCHITECTURE.md: the tier-1 build + test suite, the
-# ASan/UBSan (and Leak) build of the unit tests, and a TSan build exercising the campaign
-# worker pool. All must be clean before merging.
+# end-to-end benchmark smoke (perfbench), the ASan/UBSan (and Leak) build of the unit tests,
+# and a TSan build exercising the campaign worker pool. All must be clean before merging.
 #
 # Usage: scripts/check.sh [--tier1-only]
 set -euo pipefail
@@ -97,6 +97,10 @@ if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "=== tier 1 clean (sanitizers skipped) ==="
   exit 0
 fi
+
+echo "=== end-to-end benchmark: self-test + traced smoke of every workload ==="
+# Correctness only (fingerprints, per-layer self-check); BENCHMARK.json bounds judge speed.
+scripts/perfbench_smoke.sh
 
 echo "=== sanitizers: ASan + UBSan + LSan ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \

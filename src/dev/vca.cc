@@ -165,13 +165,10 @@ void VcaSourceDriver::OnIrq() {
           1, static_cast<int64_t>(static_cast<double>(wire_bytes) * factor));
     }
     // Build the packet: allocate the chain, store the precomputed header, the destination
-    // device number and the packet number.
-    job.steps.push_back(Cpu::Step{config_.build_cost,
-                                  [this]() {
-                                    // Chain allocation happens in the action so pool
-                                    // occupancy reflects interrupt-time reality.
-                                  },
-                                  Spl::kImp});
+    // device number and the packet number. The chain is allocated by the zero-cost step's
+    // action below, after any device copy and host compression, so pool occupancy reflects
+    // interrupt-time reality.
+    job.steps.push_back(Cpu::Step{config_.build_cost, nullptr, Spl::kImp});
     if (config_.copy_device_data) {
       job.steps.push_back(
           Cpu::Step{config_.device_bytes * config_.pio_per_byte, nullptr, Spl::kImp});

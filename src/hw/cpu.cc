@@ -24,26 +24,16 @@ Cpu::Cpu(Simulation* sim, std::string name) : sim_(sim), name_(std::move(name)) 
   track_ = telemetry.tracer.RegisterTrack("cpu." + instance);
 }
 
+Spl Cpu::StepLevel(const Job& job, size_t step) const {
+  const Spl step_spl = job.steps[step].spl;
+  return SplValue(step_spl) > SplValue(job.level) ? step_spl : job.level;
+}
+
 Spl Cpu::EffectiveLevel(const ActiveJob& active) const {
   if (active.next_step >= active.job.steps.size()) {
     return active.job.level;
   }
-  const Spl step_spl = active.job.steps[active.next_step].spl;
-  return SplValue(step_spl) > SplValue(active.job.level) ? step_spl : active.job.level;
-}
-
-Spl Cpu::current_level() const {
-  if (current_ == nullptr) {
-    return Spl::kNone;
-  }
-  // The step about to run / in flight determines the level.
-  const size_t idx = current_->next_step > 0 && step_in_flight_ ? current_->next_step - 1
-                                                                : current_->next_step;
-  if (idx >= current_->job.steps.size()) {
-    return current_->job.level;
-  }
-  const Spl step_spl = current_->job.steps[idx].spl;
-  return SplValue(step_spl) > SplValue(current_->job.level) ? step_spl : current_->job.level;
+  return StepLevel(active.job, active.next_step);
 }
 
 SimDuration Cpu::Stretched(SimDuration d) const {
@@ -81,19 +71,29 @@ void Cpu::SubmitInterrupt(std::string name, Spl level, SimDuration duration,
 }
 
 void Cpu::CancelAll() {
+  CreditSteps(FinishedSteps());  // steps that ended before the cancel were busy time
   current_.reset();
   preempted_.clear();
   pending_.clear();
-  // A step event may still be scheduled on the simulation; step_in_flight_ stays true so
-  // nothing new dispatches, and the event finds no current job if it ever fires.
-  step_in_flight_ = true;
+  segment_ends_.clear();
+  // A segment end event may still be scheduled on the simulation; segment_in_flight_ stays
+  // true so nothing new dispatches, and the event finds no current job if it ever fires.
+  segment_in_flight_ = true;
 }
 
-void Cpu::BeginMemoryContention() { ++contention_count_; }
+// Steps take the stretch in force when they start, so a change cuts the in-flight segment
+// at its next boundary and the rest of the job is re-timed from there.
+void Cpu::BeginMemoryContention() {
+  if (contention_count_++ == 0) {
+    SplitSegment();
+  }
+}
 
 void Cpu::EndMemoryContention() {
   assert(contention_count_ > 0);
-  --contention_count_;
+  if (--contention_count_ == 0) {
+    SplitSegment();
+  }
 }
 
 void Cpu::Enqueue(ActiveJob active) {
@@ -105,16 +105,19 @@ void Cpu::Enqueue(ActiveJob active) {
          SplValue((*it)->job.level) >= SplValue(holder->job.level)) {
     ++it;
   }
+  const Spl incoming = holder->job.level;
   pending_.insert(it, std::move(holder));
-  if (!step_in_flight_) {
+  if (!segment_in_flight_) {
     ScheduleNext();
+  } else if (!SplBlocks(segment_level_, incoming)) {
+    SplitSegment();  // preempts at the next step boundary, not at the segment's end
   }
 }
 
 void Cpu::ScheduleNext() {
-  if (step_in_flight_) {
+  if (segment_in_flight_) {
     // A nested call (an on_done callback submitted new work and dispatch already started a
-    // step) — the boundary logic will run again when that step completes.
+    // segment) — the boundary logic will run again when that segment completes.
     return;
   }
   // Decide what runs now: the current job's next step, a pending job that preempts it, or
@@ -151,46 +154,112 @@ void Cpu::ScheduleNext() {
     ScheduleNext();
     return;
   }
-  StartStep();
+  StartSegment();
 }
 
-void Cpu::StartStep() {
+void Cpu::StartSegment() {
   assert(current_ != nullptr);
   assert(current_->next_step < current_->job.steps.size());
-  step_in_flight_ = true;
-  Step& step = current_->job.steps[current_->next_step];
-  const SimDuration elapsed = Stretched(step.duration);
-  ++current_->next_step;
-  sim_->After(elapsed, [this, elapsed]() {
-    if (current_ == nullptr) {
-      return;  // CancelAll ran while this step was in flight
+  segment_in_flight_ = true;
+  const Job& job = current_->job;
+  segment_first_ = current_->next_step;
+  segment_level_ = StepLevel(job, segment_first_);
+  segment_start_ = sim_->Now();
+  segment_ends_.clear();
+  SimTime end = segment_start_;
+  size_t next = segment_first_;
+  while (true) {
+    const Step& step = job.steps[next];
+    const SimDuration elapsed = Stretched(step.duration);
+    end += elapsed;
+    segment_ends_.push_back(end);
+    ++next;
+    // A zero-time step ends its segment too, so interior boundaries are strictly increasing
+    // and "the first boundary after now" is never ambiguous.
+    if (step.action || elapsed == 0 || next == job.steps.size() ||
+        StepLevel(job, next) != segment_level_) {
+      break;
     }
-    busy_time_ += elapsed;
-    busy_by_job_[current_->job.name] += elapsed;
-    const size_t completed = current_->next_step - 1;
-    steps_counter_->Increment();
-    SpanTracer& tracer = sim_->telemetry().tracer;
-    if (tracer.enabled()) {
+  }
+  current_->next_step = next;
+  segment_event_ = sim_->At(end, [this]() { FinishSegment(); });
+}
+
+void Cpu::SplitSegment() {
+  // Only a pending end event can be moved; inside FinishSegment the boundary logic runs anyway.
+  if (segment_ends_.empty()) {
+    return;
+  }
+  const size_t last = FinishedSteps();
+  if (last + 1 == segment_ends_.size()) {
+    return;  // already ends at its first boundary after now
+  }
+  const SimTime end = segment_ends_[last];
+  const bool moved = end != segment_ends_.back();
+  segment_ends_.resize(last + 1);
+  current_->next_step = segment_first_ + last + 1;
+  if (moved) {
+    sim_->Cancel(segment_event_);
+    segment_event_ = sim_->At(end, [this]() { FinishSegment(); });
+  }
+}
+
+void Cpu::FinishSegment() {
+  if (current_ == nullptr) {
+    return;  // CancelAll ran while this segment was in flight
+  }
+  CreditSteps(segment_ends_.size());
+  segment_ends_.clear();
+  auto action = std::move(current_->job.steps[current_->next_step - 1].action);
+  if (action) {
+    action();  // may submit new jobs; segment_in_flight_ still true so no re-entrancy
+  }
+  segment_in_flight_ = false;
+  if (current_ != nullptr && current_->next_step >= current_->job.steps.size()) {
+    auto finished = std::move(current_);
+    current_ = nullptr;
+    ++jobs_completed_;
+    jobs_completed_counter_->Increment();
+    if (finished->job.on_done) {
+      finished->job.on_done();
+    }
+  }
+  ScheduleNext();
+}
+
+void Cpu::CreditSteps(size_t count) {
+  if (count == 0) {
+    return;
+  }
+  const Job& job = current_->job;
+  const SimDuration elapsed = segment_ends_[count - 1] - segment_start_;
+  busy_time_ += elapsed;
+  busy_by_job_[job.name] += elapsed;
+  steps_counter_->Increment(count);
+  SpanTracer& tracer = sim_->telemetry().tracer;
+  if (tracer.enabled()) {
+    SimTime start = segment_start_;
+    for (size_t i = 0; i < count; ++i) {
       tracer.AddComplete(
-          track_, current_->job.name, sim_->Now() - elapsed, elapsed,
-          {{"spl", static_cast<int64_t>(SplValue(current_->job.steps[completed].spl))}});
+          track_, job.name, start, segment_ends_[i] - start,
+          {{"spl", static_cast<int64_t>(SplValue(job.steps[segment_first_ + i].spl))}});
+      start = segment_ends_[i];
     }
-    auto action = std::move(current_->job.steps[completed].action);
-    if (action) {
-      action();  // may submit new jobs; step_in_flight_ still true so no re-entrancy
-    }
-    step_in_flight_ = false;
-    if (current_ != nullptr && current_->next_step >= current_->job.steps.size()) {
-      auto finished = std::move(current_);
-      current_ = nullptr;
-      ++jobs_completed_;
-      jobs_completed_counter_->Increment();
-      if (finished->job.on_done) {
-        finished->job.on_done();
-      }
-    }
-    ScheduleNext();
-  });
+  }
+}
+
+size_t Cpu::FinishedSteps() const {
+  // The last step is credited by the segment's end event, even when that event is due now.
+  size_t count = 0;
+  while (count + 1 < segment_ends_.size() && segment_ends_[count] <= sim_->Now()) {
+    ++count;
+  }
+  return count;
+}
+
+SimDuration Cpu::busy_time() const {
+  const size_t finished = FinishedSteps();
+  return busy_time_ + (finished > 0 ? segment_ends_[finished - 1] - segment_start_ : 0);
 }
 
 double Cpu::Utilization() const {
@@ -198,7 +267,7 @@ double Cpu::Utilization() const {
   if (now <= 0) {
     return 0.0;
   }
-  return static_cast<double>(busy_time_) / static_cast<double>(now);
+  return static_cast<double>(busy_time()) / static_cast<double>(now);
 }
 
 }  // namespace ctms

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "src/hw/cpu.h"
 #include "src/hw/dma.h"
 #include "src/hw/machine.h"
 #include "src/hw/memory.h"
+#include "src/kern/unix_kernel.h"
 #include "src/sim/simulation.h"
 
 namespace ctms {
@@ -211,6 +213,165 @@ TEST_F(CpuTest, NestedContentionIsSingleFactor) {
                        [&]() { done2 = sim_.Now() - done; });
   sim_.RunAll();
   EXPECT_EQ(done2, Microseconds(100));  // back to full speed
+}
+
+// A job of `count` action-free steps of `each` at `level`, with an action on the last.
+Cpu::Job PlainJob(const char* name, Spl level, int count, SimDuration each,
+                  std::function<void()> last_action) {
+  Cpu::Job job;
+  job.name = name;
+  job.level = level;
+  for (int i = 0; i < count; ++i) {
+    job.steps.push_back(
+        Cpu::Step{each, i == count - 1 ? std::move(last_action) : nullptr, level});
+  }
+  return job;
+}
+
+uint64_t StepsExecuted(Simulation& sim) {
+  return sim.telemetry().metrics.GetCounter("cpu.cpu.steps_executed")->value();
+}
+
+TEST_F(CpuTest, ActionFreeStepsCompleteWithOneEvent) {
+  SimTime done = -1;
+  cpu_.SubmitProcess(PlainJob("copy", Spl::kNone, 8, Microseconds(100),
+                              [&]() { done = sim_.Now(); }));
+  sim_.RunAll();
+  EXPECT_EQ(done, Microseconds(800));
+  EXPECT_EQ(sim_.events_executed(), 1u);
+  EXPECT_EQ(StepsExecuted(sim_), 8u);
+}
+
+TEST_F(CpuTest, InterruptDuringChunkedCopyStartsAtNextChunkBoundary) {
+  Machine machine(&sim_, "m");
+  UnixKernel kernel(&machine);
+  // 2000 bytes into IO Channel Memory at 1 us/byte: four 512-byte chunks of 500 us each.
+  SimTime copied = -1;
+  Cpu::Job copy;
+  copy.name = "copyin";
+  copy.level = Spl::kNet;
+  copy.steps = kernel.CopySteps(2000, MemoryKind::kSystemMemory, MemoryKind::kIoChannelMemory,
+                                Spl::kNet, [&]() { copied = sim_.Now(); });
+  ASSERT_EQ(copy.steps.size(), 4u);
+  cpu_.SubmitProcess(std::move(copy));
+  SimTime handled = -1;
+  sim_.After(Microseconds(1200), [&]() {
+    cpu_.SubmitInterrupt("tr-intr", Spl::kImp, Microseconds(30),
+                         [&]() { handled = sim_.Now(); });
+  });
+  sim_.RunAll();
+  EXPECT_EQ(handled, Microseconds(1530));  // waited for the chunk ending at 1500 us
+  EXPECT_EQ(copied, Microseconds(2030));
+  EXPECT_EQ(StepsExecuted(sim_), 4u + 2u);  // the interrupt adds its dispatch step
+}
+
+TEST_F(CpuTest, ArrivalAtInteriorBoundaryTakesNextBoundary) {
+  // The arrival is queued before the job starts and lands exactly on the 100 us boundary. It
+  // is taken at the first boundary strictly after its arrival: 200 us.
+  SimTime handled = -1;
+  sim_.At(Microseconds(100), [&]() {
+    cpu_.SubmitInterrupt("clock", Spl::kClock, Microseconds(5),
+                         [&]() { handled = sim_.Now(); });
+  });
+  SimTime done = -1;
+  cpu_.SubmitProcess(PlainJob("proc", Spl::kNone, 3, Microseconds(100),
+                              [&]() { done = sim_.Now(); }));
+  sim_.RunAll();
+  EXPECT_EQ(handled, Microseconds(205));
+  EXPECT_EQ(done, Microseconds(305));
+}
+
+TEST_F(CpuTest, NonPreemptingArrivalLeavesSegmentWhole) {
+  cpu_.set_dispatch_base(Microseconds(10));
+  cpu_.SubmitInterrupt(PlainJob("net", Spl::kImp, 4, Microseconds(100), nullptr));
+  sim_.After(Microseconds(150), [&]() {
+    cpu_.SubmitInterrupt("same-level", Spl::kImp, Microseconds(10), nullptr);
+  });
+  sim_.RunAll();
+  EXPECT_EQ(sim_.Now(), Microseconds(430));
+  // The arrival event, then one event per job (dispatch included): the first job's segment
+  // was never cut.
+  EXPECT_EQ(sim_.events_executed(), 3u);
+}
+
+TEST_F(CpuTest, ContentionMidSegmentStretchesOnlyLaterSteps) {
+  cpu_.set_contention_stretch(1.5);
+  SimTime done = -1;
+  cpu_.SubmitProcess(PlainJob("proc", Spl::kNone, 4, Microseconds(100),
+                              [&]() { done = sim_.Now(); }));
+  // Begins in step 2 (100-200 us): step 3 runs 200-350 us. Ends in step 3: step 4 is back to
+  // 100 us, 350-450 us.
+  sim_.After(Microseconds(150), [&]() { cpu_.BeginMemoryContention(); });
+  sim_.After(Microseconds(250), [&]() { cpu_.EndMemoryContention(); });
+  sim_.RunAll();
+  EXPECT_EQ(done, Microseconds(450));
+  EXPECT_EQ(cpu_.busy_time(), Microseconds(450));
+  EXPECT_EQ(StepsExecuted(sim_), 4u);
+}
+
+TEST_F(CpuTest, UtilizationMidSegmentCountsOnlyFinishedSteps) {
+  cpu_.SubmitProcess(PlainJob("proc", Spl::kNone, 4, Microseconds(100), nullptr));
+  SimDuration busy_at_250 = -1;
+  double util_at_250 = -1;
+  SimDuration busy_at_300 = -1;
+  sim_.After(Microseconds(250), [&]() {
+    busy_at_250 = cpu_.busy_time();
+    util_at_250 = cpu_.Utilization();
+  });
+  sim_.After(Microseconds(300), [&]() { busy_at_300 = cpu_.busy_time(); });
+  sim_.RunAll();
+  EXPECT_EQ(busy_at_250, Microseconds(200));
+  EXPECT_DOUBLE_EQ(util_at_250, 0.8);
+  EXPECT_EQ(busy_at_300, Microseconds(300));
+  EXPECT_EQ(cpu_.busy_time(), Microseconds(400));
+  // Stopping mid-segment: the clock parks at 250 us and the two finished steps count.
+  Simulation sim(1);
+  Cpu cpu(&sim, "cpu");
+  cpu.SubmitProcess(PlainJob("proc", Spl::kNone, 4, Microseconds(100), nullptr));
+  sim.RunUntil(Microseconds(250));
+  EXPECT_EQ(cpu.busy_time(), Microseconds(200));
+  EXPECT_DOUBLE_EQ(cpu.Utilization(), 0.8);
+}
+
+TEST_F(CpuTest, CancelAllMidSegmentRunsNoAction) {
+  bool acted = false;
+  bool finished = false;
+  Cpu::Job job = PlainJob("proc", Spl::kNone, 3, Microseconds(100), [&]() { acted = true; });
+  job.on_done = [&]() { finished = true; };
+  cpu_.SubmitProcess(std::move(job));
+  sim_.After(Microseconds(150), [&]() { cpu_.CancelAll(); });
+  sim_.RunAll();  // the stale segment end event still fires at 300 us, and does nothing
+  EXPECT_FALSE(acted);
+  EXPECT_FALSE(finished);
+  EXPECT_EQ(sim_.Now(), Microseconds(300));
+  EXPECT_EQ(cpu_.jobs_completed(), 0u);
+  // The step that finished before the cancel is credited, as one event per step credited it.
+  EXPECT_EQ(cpu_.busy_time(), Microseconds(100));
+  EXPECT_EQ(cpu_.busy_by_job().at("proc"), Microseconds(100));
+  EXPECT_EQ(StepsExecuted(sim_), 1u);
+}
+
+TEST_F(CpuTest, StepsExecutedCountsEveryStep) {
+  // Three segments (action on step 2, level change at step 4) plus a preemption cut, a
+  // zero-length step, and a separate interrupt with its dispatch step.
+  cpu_.set_dispatch_base(Microseconds(10));
+  Cpu::Job job;
+  job.name = "mixed";
+  job.level = Spl::kNet;
+  job.steps.push_back(Cpu::Step{Microseconds(100), nullptr, Spl::kNet});
+  job.steps.push_back(Cpu::Step{Microseconds(100), []() {}, Spl::kNet});
+  job.steps.push_back(Cpu::Step{0, nullptr, Spl::kNet});
+  job.steps.push_back(Cpu::Step{Microseconds(100), nullptr, Spl::kHigh});
+  job.steps.push_back(Cpu::Step{Microseconds(100), nullptr, Spl::kNet});
+  job.steps.push_back(Cpu::Step{Microseconds(100), nullptr, Spl::kNet});
+  cpu_.SubmitProcess(std::move(job));
+  sim_.After(Microseconds(450), [&]() {
+    cpu_.SubmitInterrupt("intr", Spl::kImp, Microseconds(20), nullptr);
+  });
+  sim_.RunAll();
+  EXPECT_EQ(StepsExecuted(sim_), 6u + 2u);
+  EXPECT_EQ(sim_.Now(), Microseconds(530));
+  EXPECT_EQ(cpu_.busy_time(), Microseconds(530));
 }
 
 TEST(CopyEngineTest, CostDependsOnMemoryKinds) {
