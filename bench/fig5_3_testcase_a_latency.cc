@@ -22,7 +22,7 @@ int main() {
   std::printf("%s\n\n", hist7.SummaryLine().c_str());
   std::printf("%s\n", hist7.RenderAscii(Microseconds(100)).c_str());
 
-  const SummaryStats stats = hist7.Summary();
+  const DurationStats stats = hist7.Summary();
   PrintRowHeader();
   PrintRow("minimum latency (2000-byte packet)", "10740 us",
            FormatDuration(stats.min));

@@ -30,7 +30,7 @@ int main() {
   std::printf("%s\n\n", hist7.SummaryLine().c_str());
   std::printf("%s\n", hist7.RenderAscii(Microseconds(500)).c_str());
 
-  const SummaryStats stats = hist7.Summary();
+  const DurationStats stats = hist7.Summary();
   const double peak = hist7.FractionWithin(Microseconds(10900), Microseconds(160));
   const double mid = hist7.FractionBetween(Microseconds(11060), Microseconds(15000));
   const double high = hist7.FractionBetween(Microseconds(15000), Microseconds(40050));

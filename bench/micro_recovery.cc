@@ -43,10 +43,12 @@ struct XorSample {
 };
 
 XorSample BenchXor(int group, int groups) {
-  std::vector<std::vector<uint8_t>> members(group);
-  for (int m = 0; m < group; ++m) {
-    members[m].resize(kPayloadBytes);
-    for (int64_t b = 0; b < kPayloadBytes; ++b) {
+  const size_t members_count = static_cast<size_t>(group);
+  const size_t payload = static_cast<size_t>(kPayloadBytes);
+  std::vector<std::vector<uint8_t>> members(members_count);
+  for (size_t m = 0; m < members_count; ++m) {
+    members[m].resize(payload);
+    for (size_t b = 0; b < payload; ++b) {
       members[m][b] = static_cast<uint8_t>((m * 131 + b * 7) & 0xff);
     }
   }
@@ -58,8 +60,8 @@ XorSample BenchXor(int group, int groups) {
   const auto encode_start = std::chrono::steady_clock::now();
   for (int g = 0; g < groups; ++g) {
     std::memset(parity.data(), 0, parity.size());
-    for (int m = 0; m < group; ++m) {
-      for (int64_t b = 0; b < kPayloadBytes; ++b) {
+    for (size_t m = 0; m < members_count; ++m) {
+      for (size_t b = 0; b < payload; ++b) {
         parity[b] ^= members[m][b];
       }
     }
@@ -74,17 +76,17 @@ XorSample BenchXor(int group, int groups) {
   // rotating so every slot gets exercised).
   const auto repair_start = std::chrono::steady_clock::now();
   for (int g = 0; g < groups; ++g) {
-    const int lost = g % group;
+    const size_t lost = static_cast<size_t>(g % group);
     std::memcpy(rebuilt.data(), parity.data(), parity.size());
-    for (int m = 0; m < group; ++m) {
+    for (size_t m = 0; m < members_count; ++m) {
       if (m == lost) {
         continue;
       }
-      for (int64_t b = 0; b < kPayloadBytes; ++b) {
+      for (size_t b = 0; b < payload; ++b) {
         rebuilt[b] ^= members[m][b];
       }
     }
-    if (std::memcmp(rebuilt.data(), members[lost].data(), kPayloadBytes) != 0) {
+    if (std::memcmp(rebuilt.data(), members[lost].data(), payload) != 0) {
       sample.correct = false;
     }
     sink = static_cast<uint8_t>(sink ^ rebuilt[0]);
@@ -123,7 +125,7 @@ EngineSample BenchEngines(int group, uint32_t packets) {
     sim.RunUntil((seq - 1) * period);
     tx.OnDataSent(seq, kPayloadBytes);
     // Drop the second member of every group on the "wire": the parity must rebuild it.
-    const bool dropped = group > 1 && (seq - 1) % group == 1;
+    const bool dropped = group > 1 && (seq - 1) % static_cast<uint32_t>(group) == 1;
     if (dropped) {
       ++sample.expected;
     } else {

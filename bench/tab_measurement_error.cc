@@ -38,13 +38,13 @@ int main() {
     CtmsExperiment experiment(config);
     return experiment.Run();
   }();
-  const SummaryStats la_irq = la.measured.inter_irq.Summary();
+  const DurationStats la_irq = la.measured.inter_irq.Summary();
   PrintRowHeader();
   PrintRow("VCA inter-IRQ deviation from 12 ms (max)", "~500 ns",
            FormatDuration(std::max(la_irq.max - Milliseconds(12),
                                    Milliseconds(12) - la_irq.min)),
            "(logic analyzer)");
-  const SummaryStats la_hist5 = la.measured.irq_to_handler.Summary();
+  const DurationStats la_hist5 = la.measured.irq_to_handler.Summary();
   PrintRow("IRQ -> handler entry, p99", "<= 440 us",
            FormatDuration(la.measured.irq_to_handler.Percentile(0.99)),
            "(lab conditions, as measured)");
@@ -53,7 +53,7 @@ int main() {
 
   // --- the PC/AT rig ------------------------------------------------------------------------
   const ExperimentReport pcat = run_with(MeasurementMethod::kPcAt);
-  const SummaryStats pcat_irq = pcat.measured.inter_irq.Summary();
+  const DurationStats pcat_irq = pcat.measured.inter_irq.Summary();
   const SimDuration pcat_spread = std::max(pcat_irq.max - Milliseconds(12),
                                            Milliseconds(12) - pcat_irq.min);
   PrintRow("PC/AT spread timestamping the 12 ms source", "+/-120 us",

@@ -85,13 +85,10 @@ void MediaServerSource::OnTick() {
   // Send-timer handler: build the packet and copy the staged kernel data into mbufs, then
   // hand it driver-to-driver (the paper's transfer model, with the disk as the source
   // device).
-  Cpu::Job job;
-  job.name = "server-tick";
-  job.level = Spl::kImp;
+  Cpu::Job job = kernel_->machine()->cpu().NewJob("server-tick", Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.tick_cost, nullptr, Spl::kImp});
-  UnixKernel::AppendSteps(&job.steps,
-                          kernel_->CopySteps(config_.packet_bytes, MemoryKind::kSystemMemory,
-                                             MemoryKind::kSystemMemory, Spl::kImp));
+  kernel_->AppendCopySteps(&job.steps, config_.packet_bytes, MemoryKind::kSystemMemory,
+                           MemoryKind::kSystemMemory, Spl::kImp);
   job.steps.push_back(Cpu::Step{
       0,
       [this, seq, tick_at = kernel_->sim()->Now()]() {

@@ -121,9 +121,7 @@ void TokenRingDriver::StartNextTx() {
 
 void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
   const MemoryKind buffer_kind = adapter_->config().dma_buffer_kind;
-  Cpu::Job job;
-  job.name = "tr-start";
-  job.level = Spl::kImp;
+  Cpu::Job job = kernel_->machine()->cpu().NewJob("tr-start", Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.tx_start_overhead, nullptr, Spl::kImp});
   if (config_.ctms_mode && config_.zero_copy_tx && is_ctmsp) {
     // Pointer passing (section 2's proposed further step): swing the adapter's transmit
@@ -132,9 +130,8 @@ void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
   } else {
     // Copy the mbuf chain into the fixed transmit DMA buffer. The chain reference held by
     // the job is dropped when the job completes — the data lives in the buffer from here on.
-    UnixKernel::AppendSteps(&job.steps,
-                            kernel_->CopySteps(packet.bytes, MemoryKind::kSystemMemory,
-                                               buffer_kind, Spl::kImp));
+    kernel_->AppendCopySteps(&job.steps, packet.bytes, MemoryKind::kSystemMemory, buffer_kind,
+                             Spl::kImp);
   }
   // Measurement point 3: after the copy, immediately before the transmit command. The
   // in-line recording code (a port write, a procedure call) costs real time here.
@@ -215,9 +212,7 @@ void TokenRingDriver::OnRxDmaComplete(const Frame& frame) {
                                              kernel_->sim()->Now());
 
   const MemoryKind buffer_kind = adapter_->config().dma_buffer_kind;
-  Cpu::Job job;
-  job.name = "tr-rx";
-  job.level = Spl::kImp;
+  Cpu::Job job = kernel_->machine()->cpu().NewJob("tr-rx", Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.rx_entry_cost, nullptr, Spl::kImp});
 
   if (frame.protocol == ProtocolId::kCtmsp && config_.ctms_mode) {
@@ -242,9 +237,8 @@ void TokenRingDriver::OnRxDmaComplete(const Frame& frame) {
                                   Spl::kImp});
     if (config_.rx_copy_ctmsp_to_mbufs) {
       job.steps.push_back(Cpu::Step{config_.mbuf_alloc_cost, nullptr, Spl::kImp});
-      UnixKernel::AppendSteps(&job.steps,
-                              kernel_->CopySteps(packet.bytes, buffer_kind,
-                                                 MemoryKind::kSystemMemory, Spl::kImp));
+      kernel_->AppendCopySteps(&job.steps, packet.bytes, buffer_kind, MemoryKind::kSystemMemory,
+                               Spl::kImp);
       job.steps.push_back(Cpu::Step{0,
                                     [this, packet]() {
                                       adapter_->ReleaseRxBuffer();
@@ -272,9 +266,8 @@ void TokenRingDriver::OnRxDmaComplete(const Frame& frame) {
     // queue for protocol processing at splnet.
     job.steps.push_back(Cpu::Step{config_.classify_cost, nullptr, Spl::kImp});
     job.steps.push_back(Cpu::Step{config_.mbuf_alloc_cost, nullptr, Spl::kImp});
-    UnixKernel::AppendSteps(&job.steps,
-                            kernel_->CopySteps(packet.bytes, buffer_kind,
-                                               MemoryKind::kSystemMemory, Spl::kImp));
+    kernel_->AppendCopySteps(&job.steps, packet.bytes, buffer_kind, MemoryKind::kSystemMemory,
+                             Spl::kImp);
     job.steps.push_back(Cpu::Step{0,
                                   [this, packet]() {
                                     adapter_->ReleaseRxBuffer();

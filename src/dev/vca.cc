@@ -91,7 +91,8 @@ int64_t VcaSourceDriver::WirePacketBytes(const Config& config, uint32_t n) {
     // (scale + (k-1) * delta) / k = 1  =>  delta = (k - scale) / (k - 1).
     const double k = config.vbr_key_interval;
     const double delta_scale = (k - config.vbr_key_scale) / (k - 1.0);
-    bytes *= (n % config.vbr_key_interval == 0) ? config.vbr_key_scale : delta_scale;
+    const uint32_t interval = static_cast<uint32_t>(config.vbr_key_interval);
+    bytes *= (n % interval == 0) ? config.vbr_key_scale : delta_scale;
   }
   if (config.compression != CompressionSite::kNone) {
     bytes /= config.compression_ratio;
@@ -139,9 +140,7 @@ void VcaSourceDriver::OnIrq() {
   // see it with no software cost).
   probes_->Emit(ProbePoint::kVcaIrq, static_cast<uint32_t>(interrupts_), now);
 
-  Cpu::Job job;
-  job.name = "vca-intr";
-  job.level = Spl::kImp;
+  Cpu::Job job = kernel_->machine()->cpu().NewJob("vca-intr", Spl::kImp);
   // Measurement point 2: entry into the interrupt handler (after dispatch), with the
   // in-line recording cost of whichever tool is attached.
   job.steps.push_back(Cpu::Step{probes_->inline_cost(),
@@ -261,10 +260,8 @@ void VcaSourceDriver::OnIrq() {
   } else {
     // Stock mode: the handler copies the card's kernel-buffer data into mbufs and wakes the
     // relay process — the first two copies of the section-2 diagram.
-    UnixKernel::AppendSteps(
-        &job.steps,
-        kernel_->CopySteps(config_.packet_bytes, MemoryKind::kSystemMemory,
-                           MemoryKind::kSystemMemory, Spl::kImp));
+    kernel_->AppendCopySteps(&job.steps, config_.packet_bytes, MemoryKind::kSystemMemory,
+                             MemoryKind::kSystemMemory, Spl::kImp);
     job.steps.push_back(Cpu::Step{
         0,
         [this, now]() {
@@ -328,9 +325,7 @@ void VcaSinkDriver::OnCtmspDeliver(const Packet& packet, bool in_dma_buffer,
   ++packets_accepted_;
   packets_accepted_counter_->Increment();
 
-  Cpu::Job job;
-  job.name = "vca-sink";
-  job.level = Spl::kImp;
+  Cpu::Job job = kernel_->machine()->cpu().NewJob("vca-sink", Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.examine_cost, nullptr, Spl::kImp});
   if (config_.copy_to_device) {
     // Copy out of mbufs (or straight out of the fixed DMA buffer) into the card's memory
@@ -365,9 +360,7 @@ void VcaSinkDriver::DeliverRepaired(int64_t bytes, SimTime created_at) {
   ++packets_accepted_;
   packets_accepted_counter_->Increment();
 
-  Cpu::Job job;
-  job.name = "vca-sink";
-  job.level = Spl::kImp;
+  Cpu::Job job = kernel_->machine()->cpu().NewJob("vca-sink", Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.examine_cost, nullptr, Spl::kImp});
   if (config_.copy_to_device) {
     const SimDuration copy_cost = bytes * config_.device_copy_per_byte;

@@ -43,37 +43,90 @@ SimDuration Cpu::Stretched(SimDuration d) const {
   return d;
 }
 
-void Cpu::SubmitInterrupt(Job job) {
-  // Model interrupt dispatch (context save, vectoring) as an implicit leading step at the
-  // job's own level; jitter reflects microarchitectural variation, not kernel state.
-  const SimDuration dispatch =
-      dispatch_base_ + (dispatch_jitter_ > 0 ? sim_->rng().UniformDuration(0, dispatch_jitter_) : 0);
-  std::vector<Step> steps;
-  steps.reserve(job.steps.size() + 1);
-  steps.push_back(Step{dispatch, nullptr, job.level});
-  for (auto& s : job.steps) {
-    steps.push_back(std::move(s));
-  }
-  job.steps = std::move(steps);
-  interrupts_counter_->Increment();
-  Enqueue(ActiveJob{std::move(job), 0});
+Cpu::Job Cpu::NewJob(std::string_view name, Spl level) {
+  Job job;
+  job.name = name;
+  job.level = level;
+  job.steps = TakeSteps();
+  return job;
 }
 
-void Cpu::SubmitProcess(Job job) { Enqueue(ActiveJob{std::move(job), 0}); }
+SimDuration Cpu::DispatchLatency() {
+  // Interrupt dispatch (context save, vectoring) runs as an implicit leading step at the
+  // job's own level; jitter reflects microarchitectural variation, not kernel state.
+  return dispatch_base_ +
+         (dispatch_jitter_ > 0 ? sim_->rng().UniformDuration(0, dispatch_jitter_) : 0);
+}
 
-void Cpu::SubmitInterrupt(std::string name, Spl level, SimDuration duration,
+void Cpu::SubmitInterrupt(Job job) {
+  job.steps.insert(job.steps.begin(), Step{DispatchLatency(), nullptr, job.level});
+  interrupts_counter_->Increment();
+  Holder holder = TakeHolder();
+  holder->job = std::move(job);
+  Enqueue(std::move(holder));
+}
+
+void Cpu::SubmitProcess(Job job) {
+  Holder holder = TakeHolder();
+  holder->job = std::move(job);
+  Enqueue(std::move(holder));
+}
+
+void Cpu::SubmitInterrupt(std::string_view name, Spl level, SimDuration duration,
                           std::function<void()> action) {
-  Job job;
-  job.name = std::move(name);
+  Holder holder = TakeHolder();
+  Job& job = holder->job;
+  job.name.assign(name);
   job.level = level;
+  job.steps = TakeSteps();
+  job.steps.push_back(Step{DispatchLatency(), nullptr, level});
   job.steps.push_back(Step{duration, std::move(action), level});
-  SubmitInterrupt(std::move(job));
+  interrupts_counter_->Increment();
+  Enqueue(std::move(holder));
+}
+
+Cpu::Holder Cpu::TakeHolder() {
+  if (spare_holders_.empty()) {
+    return std::make_unique<ActiveJob>();
+  }
+  Holder holder = std::move(spare_holders_.back());
+  spare_holders_.pop_back();
+  return holder;
+}
+
+std::vector<Cpu::Step> Cpu::TakeSteps() {
+  if (spare_steps_.empty()) {
+    return {};
+  }
+  std::vector<Step> steps = std::move(spare_steps_.back());
+  spare_steps_.pop_back();
+  return steps;
+}
+
+void Cpu::Recycle(Holder holder) {
+  Job& job = holder->job;
+  job.on_done = nullptr;
+  job.steps.clear();
+  if (job.steps.capacity() > 0) {
+    spare_steps_.push_back(std::move(job.steps));
+  }
+  holder->next_step = 0;
+  holder->busy = nullptr;
+  spare_holders_.push_back(std::move(holder));
 }
 
 void Cpu::CancelAll() {
   CreditSteps(FinishedSteps());  // steps that ended before the cancel were busy time
-  current_.reset();
+  if (current_ != nullptr) {
+    Recycle(std::move(current_));
+  }
+  for (Holder& holder : preempted_) {
+    Recycle(std::move(holder));
+  }
   preempted_.clear();
+  for (Holder& holder : pending_) {
+    Recycle(std::move(holder));
+  }
   pending_.clear();
   segment_ends_.clear();
   // A segment end event may still be scheduled on the simulation; segment_in_flight_ stays
@@ -96,9 +149,8 @@ void Cpu::EndMemoryContention() {
   }
 }
 
-void Cpu::Enqueue(ActiveJob active) {
+void Cpu::Enqueue(Holder holder) {
   jobs_submitted_counter_->Increment();
-  auto holder = std::make_unique<ActiveJob>(std::move(active));
   // Insert keeping pending_ sorted by level descending, FIFO within a level.
   auto it = pending_.begin();
   while (it != pending_.end() &&
@@ -136,22 +188,23 @@ void Cpu::ScheduleNext() {
         preempted_.push_back(std::move(current_));
       }
       current_ = std::move(pending_.front());
-      pending_.pop_front();
+      pending_.erase(pending_.begin());
     }
   }
   if (current_ == nullptr) {
     return;  // idle
   }
   if (current_->next_step >= current_->job.steps.size()) {
-    // Degenerate job with no steps (or all steps already run): complete it immediately.
-    auto finished = std::move(current_);
-    current_ = nullptr;
+    // Degenerate job with no steps (or all steps already run): complete it immediately. Its
+    // captures die after the nested dispatch, as they did when the job was a local.
+    Holder finished = std::move(current_);
     ++jobs_completed_;
     jobs_completed_counter_->Increment();
     if (finished->job.on_done) {
       finished->job.on_done();
     }
     ScheduleNext();
+    Recycle(std::move(finished));
     return;
   }
   StartSegment();
@@ -216,13 +269,13 @@ void Cpu::FinishSegment() {
   }
   segment_in_flight_ = false;
   if (current_ != nullptr && current_->next_step >= current_->job.steps.size()) {
-    auto finished = std::move(current_);
-    current_ = nullptr;
+    Holder finished = std::move(current_);
     ++jobs_completed_;
     jobs_completed_counter_->Increment();
     if (finished->job.on_done) {
       finished->job.on_done();
     }
+    Recycle(std::move(finished));
   }
   ScheduleNext();
 }
@@ -234,7 +287,10 @@ void Cpu::CreditSteps(size_t count) {
   const Job& job = current_->job;
   const SimDuration elapsed = segment_ends_[count - 1] - segment_start_;
   busy_time_ += elapsed;
-  busy_by_job_[job.name] += elapsed;
+  if (current_->busy == nullptr) {
+    current_->busy = &busy_by_job_[job.name];
+  }
+  *current_->busy += elapsed;
   steps_counter_->Increment(count);
   SpanTracer& tracer = sim_->telemetry().tracer;
   if (tracer.enabled()) {

@@ -34,22 +34,18 @@ void RelayProcess::RunIteration(bool just_woken) {
   queue_.pop_front();
   queued_bytes_ -= packet.bytes;
 
-  Cpu::Job job;
-  job.name = name_;
-  job.level = Spl::kNone;
+  Cpu::Job job = kernel_->machine()->cpu().NewJob(name_, Spl::kNone);
   if (just_woken) {
     job.steps.push_back(Cpu::Step{config_.timings.context_switch, nullptr, Spl::kNone});
   }
   // read(): trap, then copy the packet out of kernel mbufs into the user buffer.
   job.steps.push_back(Cpu::Step{config_.timings.syscall, nullptr, Spl::kNone});
-  UnixKernel::AppendSteps(&job.steps,
-                          kernel_->CopySteps(packet.bytes, MemoryKind::kSystemMemory,
-                                             MemoryKind::kSystemMemory, Spl::kNone));
+  kernel_->AppendCopySteps(&job.steps, packet.bytes, MemoryKind::kSystemMemory,
+                           MemoryKind::kSystemMemory, Spl::kNone);
   // write(): trap, then copy the user buffer back into kernel mbufs.
   job.steps.push_back(Cpu::Step{config_.timings.syscall, nullptr, Spl::kNone});
-  UnixKernel::AppendSteps(&job.steps,
-                          kernel_->CopySteps(packet.bytes, MemoryKind::kSystemMemory,
-                                             MemoryKind::kSystemMemory, Spl::kNone));
+  kernel_->AppendCopySteps(&job.steps, packet.bytes, MemoryKind::kSystemMemory,
+                           MemoryKind::kSystemMemory, Spl::kNone);
   job.on_done = [this, packet]() {
     ++forwarded_;
     if (forward_) {
@@ -72,9 +68,7 @@ void CompetingProcess::Start() {
     phase = (phase * 131 + c) % config_.period;
   }
   cancel_ = SchedulePeriodic(sim, sim->Now() + phase, config_.period, [this]() {
-    Cpu::Job job;
-    job.name = name_;
-    job.level = Spl::kNone;
+    Cpu::Job job = kernel_->machine()->cpu().NewJob(name_, Spl::kNone);
     SimDuration remaining = config_.burst;
     while (remaining > 0) {
       const SimDuration slice = remaining < config_.slice ? remaining : config_.slice;

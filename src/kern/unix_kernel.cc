@@ -32,14 +32,13 @@ void UnixKernel::AllocatePayloadOrWait(int64_t bytes, std::function<void(Payload
   });
 }
 
-std::vector<Cpu::Step> UnixKernel::CopySteps(int64_t bytes, MemoryKind src, MemoryKind dst,
-                                             Spl spl, std::function<void()> on_done) {
-  std::vector<Cpu::Step> steps;
+void UnixKernel::AppendCopySteps(std::vector<Cpu::Step>* steps, int64_t bytes, MemoryKind src,
+                                 MemoryKind dst, Spl spl, std::function<void()> on_done) {
   const SimDuration total_cost = machine_->ChargeCpuCopy(bytes, src, dst);
   const int64_t chunk = config_.copy_chunk_bytes;
   if (bytes <= 0) {
-    steps.push_back(Cpu::Step{0, std::move(on_done), spl});
-    return steps;
+    steps->push_back(Cpu::Step{0, std::move(on_done), spl});
+    return;
   }
   const int64_t chunks = (bytes + chunk - 1) / chunk;
   const SimDuration per_chunk = total_cost / chunks;
@@ -49,14 +48,7 @@ std::vector<Cpu::Step> UnixKernel::CopySteps(int64_t bytes, MemoryKind src, Memo
     // The final chunk absorbs integer-division remainder so the total is exact.
     const SimDuration cost = last ? total_cost - charged : per_chunk;
     charged += cost;
-    steps.push_back(Cpu::Step{cost, last ? std::move(on_done) : nullptr, spl});
-  }
-  return steps;
-}
-
-void UnixKernel::AppendSteps(std::vector<Cpu::Step>* steps, std::vector<Cpu::Step> extra) {
-  for (auto& step : extra) {
-    steps->push_back(std::move(step));
+    steps->push_back(Cpu::Step{cost, last ? std::move(on_done) : nullptr, spl});
   }
 }
 

@@ -41,13 +41,11 @@ class UnixKernel {
   // unbounded-delay hazard) and hands the converted PayloadRef to `on_ready`.
   void AllocatePayloadOrWait(int64_t bytes, std::function<void(PayloadRef)> on_ready);
 
-  // Builds CPU steps that perform (and account for) a copy of `bytes` from `src` to `dst`
-  // at level `spl`. `on_done` runs as the action of the final step.
-  std::vector<Cpu::Step> CopySteps(int64_t bytes, MemoryKind src, MemoryKind dst, Spl spl,
-                                   std::function<void()> on_done = nullptr);
-
-  // Appends `extra` steps to `steps`.
-  static void AppendSteps(std::vector<Cpu::Step>* steps, std::vector<Cpu::Step> extra);
+  // Appends to `steps` the CPU steps that perform (and account for) a copy of `bytes` from
+  // `src` to `dst` at level `spl`, one per copy chunk. `on_done` runs as the action of the
+  // final step.
+  void AppendCopySteps(std::vector<Cpu::Step>* steps, int64_t bytes, MemoryKind src,
+                       MemoryKind dst, Spl spl, std::function<void()> on_done = nullptr);
 
  private:
   Machine* machine_;

@@ -17,7 +17,7 @@ std::string Histogram::SummaryLine() const {
   if (samples_.empty()) {
     return name_ + ": (no samples)";
   }
-  const SummaryStats s = Summary();
+  const DurationStats s = Summary();
   const std::vector<SimDuration> p = Percentiles({0.50, 0.98});
   char buf[256];
   std::snprintf(buf, sizeof(buf),

@@ -27,7 +27,7 @@ class Histogram {
   size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
 
-  SummaryStats Summary() const { return Summarize(samples_); }
+  DurationStats Summary() const { return Summarize(samples_); }
   SimDuration Percentile(double p) const;
   // Several percentiles from one sort of the samples; results align with `ps`.
   std::vector<SimDuration> Percentiles(const std::vector<double>& ps) const {

@@ -6,8 +6,8 @@
 
 namespace ctms {
 
-SummaryStats Summarize(const std::vector<SimDuration>& samples) {
-  SummaryStats stats;
+DurationStats Summarize(const std::vector<SimDuration>& samples) {
+  DurationStats stats;
   stats.count = samples.size();
   if (samples.empty()) {
     return stats;

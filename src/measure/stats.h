@@ -10,7 +10,7 @@
 
 namespace ctms {
 
-struct SummaryStats {
+struct DurationStats {
   size_t count = 0;
   SimDuration min = 0;
   SimDuration max = 0;
@@ -19,7 +19,7 @@ struct SummaryStats {
 };
 
 // Computes summary statistics of `samples` (nanosecond durations).
-SummaryStats Summarize(const std::vector<SimDuration>& samples);
+DurationStats Summarize(const std::vector<SimDuration>& samples);
 
 // p in [0, 1]; linear interpolation between order statistics. Requires non-empty samples.
 // Sorts an internal copy on every call — when computing several percentiles of one sample

@@ -57,10 +57,10 @@ void JourneyRecorder::Enable() {
   aborted_counter_ = metrics_->GetCounter("journey.aborted");
   evicted_counter_ = metrics_->GetCounter("journey.active_evicted");
   e2e_summary_ = metrics_->GetSummary("journey.e2e");
-  for (int s = 0; s < kJourneyStageCount; ++s) {
+  for (size_t s = 0; s < kJourneyStageCount; ++s) {
     stage_summaries_[s] = metrics_->GetSummary(std::string("journey.stage.") + kStageNames[s]);
   }
-  for (int a = 0; a < kJourneyAnomalyCount; ++a) {
+  for (size_t a = 0; a < kJourneyAnomalyCount; ++a) {
     anomaly_counters_[a] =
         metrics_->GetCounter(std::string("journey.anomaly.") + kAnomalyNames[a]);
   }
@@ -80,7 +80,7 @@ uint64_t JourneyRecorder::Begin(uint32_t seq, SimTime at) {
   JourneyRecord& record = active_[id];
   record.id = id;
   record.seq = seq;
-  record.stamps[static_cast<int>(JourneyStage::kSourceIrq)] = at;
+  record.stamps[static_cast<size_t>(JourneyStage::kSourceIrq)] = at;
   begun_counter_->Increment();
   return id;
 }
@@ -93,12 +93,12 @@ void JourneyRecorder::Stamp(uint64_t id, JourneyStage stage, SimTime at) {
   if (it == active_.end()) {
     return;
   }
-  it->second.stamps[static_cast<int>(stage)] = at;
+  it->second.stamps[static_cast<size_t>(stage)] = at;
 }
 
 void JourneyRecorder::FoldStages(const JourneyRecord& record) {
   SimTime prev = kJourneyUnstamped;
-  for (int s = 0; s < kJourneyStageCount; ++s) {
+  for (size_t s = 0; s < kJourneyStageCount; ++s) {
     const SimTime stamp = record.stamps[s];
     if (stamp == kJourneyUnstamped) {
       continue;
@@ -108,20 +108,20 @@ void JourneyRecorder::FoldStages(const JourneyRecord& record) {
     const SimDuration delta = prev == kJourneyUnstamped ? 0 : stamp - prev;
     stage_summaries_[s]->Observe(delta);
     if (stage_histograms_) {
-      ++histograms_[s][HistogramBucket(delta < 0 ? 0 : delta)];
+      ++histograms_[s][static_cast<size_t>(HistogramBucket(delta < 0 ? 0 : delta))];
     }
     prev = stamp;
   }
-  const SimTime birth = record.stamps[static_cast<int>(JourneyStage::kSourceIrq)];
-  const SimTime end = record.stamps[static_cast<int>(JourneyStage::kDelivery)];
+  const SimTime birth = record.stamps[static_cast<size_t>(JourneyStage::kSourceIrq)];
+  const SimTime end = record.stamps[static_cast<size_t>(JourneyStage::kDelivery)];
   if (record.complete && birth != kJourneyUnstamped && end != kJourneyUnstamped) {
     e2e_summary_->Observe(end - birth);
   }
 }
 
 void JourneyRecorder::CountAnomaly(JourneyAnomaly why) {
-  ++anomaly_counts_[static_cast<int>(why)];
-  anomaly_counters_[static_cast<int>(why)]->Increment();
+  ++anomaly_counts_[static_cast<size_t>(why)];
+  anomaly_counters_[static_cast<size_t>(why)]->Increment();
   anomaly_fired_ = true;
 }
 
@@ -134,10 +134,10 @@ void JourneyRecorder::Finish(uint64_t id, SimTime at, bool complete, int anomaly
   active_.erase(it);
   record.complete = complete;
   if (complete) {
-    record.stamps[static_cast<int>(JourneyStage::kDelivery)] = at;
+    record.stamps[static_cast<size_t>(JourneyStage::kDelivery)] = at;
     ++completed_;
     completed_counter_->Increment();
-    const SimTime birth = record.stamps[static_cast<int>(JourneyStage::kSourceIrq)];
+    const SimTime birth = record.stamps[static_cast<size_t>(JourneyStage::kSourceIrq)];
     if (deadline_ > 0 && birth != kJourneyUnstamped && at - birth > deadline_) {
       anomaly = static_cast<int>(JourneyAnomaly::kDeadlineMiss);
     }
@@ -155,9 +155,9 @@ void JourneyRecorder::Finish(uint64_t id, SimTime at, bool complete, int anomaly
     // Evict the oldest clean journey first so anomalous ones survive until the
     // post-mortem dump, no matter how much healthy traffic followed them.
     auto victim = flight_.begin();
-    for (auto it = flight_.begin(); it != flight_.end(); ++it) {
-      if (it->anomaly < 0) {
-        victim = it;
+    for (auto candidate = flight_.begin(); candidate != flight_.end(); ++candidate) {
+      if (candidate->anomaly < 0) {
+        victim = candidate;
         break;
       }
     }
@@ -210,7 +210,7 @@ uint64_t JourneyRecorder::Adopt(JourneyRecord record, SimTime at) {
   const uint64_t id = next_id_++;
   record.id = id;
   ++record.hops;
-  record.stamps[static_cast<int>(JourneyStage::kRingTransit)] = at;
+  record.stamps[static_cast<size_t>(JourneyStage::kRingTransit)] = at;
   active_[id] = std::move(record);
   // Counted as begun here too: per-recorder begun/completed stay balanced, and the fabric
   // report subtracts hop adoptions when it wants the true packet count.
@@ -236,27 +236,27 @@ std::string JourneyRecorder::StageBreakdown() const {
        << std::setw(14)
        << Micros(static_cast<double>(summary->count() == 0 ? 0 : summary->max())) << "\n";
   };
-  for (int s = 0; s < kJourneyStageCount; ++s) {
+  for (size_t s = 0; s < kJourneyStageCount; ++s) {
     row(kStageNames[s], stage_summaries_[s]);
   }
   row("e2e", e2e_summary_);
   os << "  anomalies:";
-  for (int a = 0; a < kJourneyAnomalyCount; ++a) {
+  for (size_t a = 0; a < kJourneyAnomalyCount; ++a) {
     os << " " << kAnomalyNames[a] << " " << anomaly_counts_[a]
        << (a + 1 < kJourneyAnomalyCount ? "," : "\n");
   }
   if (stage_histograms_) {
     os << "  per-stage delta histograms (log2 ns buckets):\n";
-    for (int s = 0; s < kJourneyStageCount; ++s) {
+    for (size_t s = 0; s < kJourneyStageCount; ++s) {
       bool any = false;
-      for (int b = 0; b < kHistogramBuckets; ++b) {
+      for (size_t b = 0; b < kHistogramBuckets; ++b) {
         any = any || histograms_[s][b] != 0;
       }
       if (!any) {
         continue;
       }
       os << "    " << kStageNames[s] << ":";
-      for (int b = 0; b < kHistogramBuckets; ++b) {
+      for (size_t b = 0; b < kHistogramBuckets; ++b) {
         if (histograms_[s][b] != 0) {
           os << " [2^" << b << ")=" << histograms_[s][b];
         }
@@ -284,7 +284,7 @@ std::string JourneyRecorder::FlightJson() const {
     }
     os << ", \"stages\": {";
     bool first = true;
-    for (int s = 0; s < kJourneyStageCount; ++s) {
+    for (size_t s = 0; s < kJourneyStageCount; ++s) {
       if (record.stamps[s] == kJourneyUnstamped) {
         continue;
       }
@@ -296,7 +296,7 @@ std::string JourneyRecorder::FlightJson() const {
   os << "\n],\n\"counts\": {\"begun\": " << begun() << ", \"completed\": " << completed_
      << ", \"aborted\": " << aborted_ << ", \"in_flight\": " << active_.size() << "},\n";
   os << "\"anomalies\": {";
-  for (int a = 0; a < kJourneyAnomalyCount; ++a) {
+  for (size_t a = 0; a < kJourneyAnomalyCount; ++a) {
     os << (a > 0 ? ", " : "") << "\"" << kAnomalyNames[a] << "\": " << anomaly_counts_[a];
   }
   os << "}\n}\n";
@@ -310,7 +310,7 @@ void JourneyRecorder::DumpToTracer() {
   for (const JourneyRecord& record : flight_) {
     const TrackId track = tracer_->RegisterTrack("journey." + std::to_string(record.id));
     SimTime prev = kJourneyUnstamped;
-    for (int s = 0; s < kJourneyStageCount; ++s) {
+    for (size_t s = 0; s < kJourneyStageCount; ++s) {
       const SimTime stamp = record.stamps[s];
       if (stamp == kJourneyUnstamped) {
         continue;

@@ -237,7 +237,7 @@ StreamStats StreamEndpoints::Stats() const {
   stats.underruns = sink_->underruns();
   stats.peak_buffered_bytes = sink_->peak_buffered_bytes();
   if (!sink_->latency().empty()) {
-    const SummaryStats latency = sink_->latency().Summary();
+    const DurationStats latency = sink_->latency().Summary();
     stats.mean_latency = static_cast<SimDuration>(latency.mean);
     stats.max_latency = latency.max;
   }

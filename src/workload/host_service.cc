@@ -12,9 +12,7 @@ ControlServiceProcess::ControlServiceProcess(UnixKernel* kernel, UdpLayer* udp, 
 
 void ControlServiceProcess::OnRequest(const Packet& request) {
   ++requests_;
-  Cpu::Job job;
-  job.name = "control-service";
-  job.level = Spl::kNone;
+  Cpu::Job job = kernel_->machine()->cpu().NewJob("control-service", Spl::kNone);
   job.steps.push_back(Cpu::Step{config_.context_switch, nullptr, Spl::kNone});
   job.steps.push_back(Cpu::Step{config_.process_cost, nullptr, Spl::kNone});
   job.on_done = [this, peer = request.src]() {
@@ -55,9 +53,7 @@ void AfsClientDaemon::ScheduleNext() {
   const SimDuration wait = rng_.ExponentialDuration(config_.mean_interval);
   next_event_ = kernel_->sim()->After(wait, [this]() {
     next_event_ = kInvalidEventId;
-    Cpu::Job job;
-    job.name = "afs-keepalive";
-    job.level = Spl::kNone;
+    Cpu::Job job = kernel_->machine()->cpu().NewJob("afs-keepalive", Spl::kNone);
     job.steps.push_back(Cpu::Step{config_.process_cost, nullptr, Spl::kNone});
     job.on_done = [this]() {
       ++keepalives_sent_;

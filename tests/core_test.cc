@@ -194,7 +194,7 @@ TEST(RouterTest, EndToEndLatencyIsAboutTwoHops) {
   const RouterReport report = RouterExperiment(config).Run();
   // One hop's floor is ~10.7 ms wire+DMA; two hops plus router forwarding lands in the
   // high-20s to mid-30s of milliseconds.
-  const SummaryStats stats = report.end_to_end.Summary();
+  const DurationStats stats = report.end_to_end.Summary();
   EXPECT_GT(stats.min, Milliseconds(24));
   EXPECT_LT(static_cast<SimDuration>(stats.mean), Milliseconds(40));
 }

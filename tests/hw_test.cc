@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/hw/cpu.h"
@@ -247,11 +250,9 @@ TEST_F(CpuTest, InterruptDuringChunkedCopyStartsAtNextChunkBoundary) {
   UnixKernel kernel(&machine);
   // 2000 bytes into IO Channel Memory at 1 us/byte: four 512-byte chunks of 500 us each.
   SimTime copied = -1;
-  Cpu::Job copy;
-  copy.name = "copyin";
-  copy.level = Spl::kNet;
-  copy.steps = kernel.CopySteps(2000, MemoryKind::kSystemMemory, MemoryKind::kIoChannelMemory,
-                                Spl::kNet, [&]() { copied = sim_.Now(); });
+  Cpu::Job copy = cpu_.NewJob("copyin", Spl::kNet);
+  kernel.AppendCopySteps(&copy.steps, 2000, MemoryKind::kSystemMemory,
+                         MemoryKind::kIoChannelMemory, Spl::kNet, [&]() { copied = sim_.Now(); });
   ASSERT_EQ(copy.steps.size(), 4u);
   cpu_.SubmitProcess(std::move(copy));
   SimTime handled = -1;
@@ -372,6 +373,53 @@ TEST_F(CpuTest, StepsExecutedCountsEveryStep) {
   EXPECT_EQ(StepsExecuted(sim_), 6u + 2u);
   EXPECT_EQ(sim_.Now(), Microseconds(530));
   EXPECT_EQ(cpu_.busy_time(), Microseconds(530));
+}
+
+// Finished jobs' holders and step vectors are recycled; what a job captured must still die
+// when the job completes, not when its holder is next reused or the CPU is destroyed.
+TEST_F(CpuTest, CompletedJobReleasesItsCapturesAtCompletion) {
+  SimTime completed = -1;
+  SimTime action_released = -1;
+  SimTime on_done_released = -1;
+  // A shared_ptr whose last copy records the instant it is released.
+  auto payload = [this](SimTime* released) {
+    return std::shared_ptr<void>(nullptr, [this, released](void*) { *released = sim_.Now(); });
+  };
+  Cpu::Job job = cpu_.NewJob("tx", Spl::kImp);
+  job.steps.push_back(Cpu::Step{Microseconds(10), nullptr, Spl::kImp});
+  job.steps.push_back(
+      Cpu::Step{Microseconds(20), [held = payload(&action_released)]() {}, Spl::kImp});
+  job.on_done = [this, &completed, held = payload(&on_done_released)]() {
+    completed = sim_.Now();
+  };
+  cpu_.SubmitInterrupt(std::move(job));
+  sim_.RunAll();
+  EXPECT_EQ(completed, Microseconds(30));
+  EXPECT_EQ(action_released, Microseconds(30));
+  EXPECT_EQ(on_done_released, Microseconds(30));
+}
+
+// One-step jobs run one after another reuse one recycled holder; each must credit its own
+// name, not the name of the job the holder last carried.
+TEST_F(CpuTest, BusyByJobStaysExactWhenJobsReuseAHolder) {
+  cpu_.SubmitInterrupt("a", Spl::kImp, Microseconds(100), nullptr);
+  sim_.RunAll();
+  cpu_.SubmitInterrupt("b", Spl::kImp, Microseconds(30), nullptr);
+  sim_.RunAll();
+  Cpu::Job job = cpu_.NewJob("c", Spl::kNone);
+  job.steps.push_back(Cpu::Step{Microseconds(50), nullptr, Spl::kNone});
+  job.steps.push_back(Cpu::Step{Microseconds(50), nullptr, Spl::kNone});
+  cpu_.SubmitProcess(std::move(job));
+  // Preempts "c" mid-job, so "c" is credited in two parts around a second holder.
+  sim_.At(sim_.Now() + Microseconds(20),
+          [&]() { cpu_.SubmitInterrupt("a", Spl::kImp, Microseconds(5), nullptr); });
+  sim_.RunAll();
+  cpu_.SubmitInterrupt("b", Spl::kImp, Microseconds(7), nullptr);
+  sim_.RunAll();
+  const std::map<std::string, SimDuration> expected = {
+      {"a", Microseconds(105)}, {"b", Microseconds(37)}, {"c", Microseconds(100)}};
+  EXPECT_EQ(cpu_.busy_by_job(), expected);
+  EXPECT_EQ(cpu_.busy_time(), Microseconds(242));
 }
 
 TEST(CopyEngineTest, CostDependsOnMemoryKinds) {

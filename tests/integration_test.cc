@@ -25,7 +25,7 @@ TEST(TestCaseATest, Figure53Shape) {
   // 98% within +/-160 us of the mean, 2% tail extending toward 14600 us.
   const Histogram& hist7 = report.ground_truth.pre_tx_to_rx;
   ASSERT_GT(hist7.count(), 4000u);
-  const SummaryStats stats = hist7.Summary();
+  const DurationStats stats = hist7.Summary();
   EXPECT_NEAR(static_cast<double>(stats.min), static_cast<double>(Microseconds(10740)),
               static_cast<double>(Microseconds(15)));
   EXPECT_NEAR(stats.mean, static_cast<double>(Microseconds(10894)),
@@ -79,7 +79,7 @@ TEST(TestCaseBTest, Figure54LatencyShape) {
 
   const Histogram& hist7 = report.ground_truth.pre_tx_to_rx;
   ASSERT_GT(hist7.count(), 9000u);
-  const SummaryStats stats = hist7.Summary();
+  const DurationStats stats = hist7.Summary();
   // Paper: min 10750 us; 76% within +/-160 us of the 10900 us peak; 21.5% in 11060-15000;
   // 2.49% in 15000-40050 (the 120-130 ms points need insertions — separate test).
   EXPECT_NEAR(static_cast<double>(stats.min), static_cast<double>(Microseconds(10750)),
@@ -119,7 +119,7 @@ TEST(TestCaseBTest, InsertionProducesExceptionalLatencyPoints) {
   EXPECT_EQ(report.ring_insertions, 1u);
   EXPECT_GE(report.ring_purges, 8u);
   // The packets caught by the ring reset show the paper's 120-130 ms exceptional latency.
-  const SummaryStats stats = report.ground_truth.pre_tx_to_rx.Summary();
+  const DurationStats stats = report.ground_truth.pre_tx_to_rx.Summary();
   EXPECT_GT(stats.max, Milliseconds(105));
   EXPECT_LT(stats.max, Milliseconds(145));
   // At most a couple of packets were destroyed by the purge burst.
@@ -189,8 +189,8 @@ TEST(MeasurementMethodTest, GroundTruthAndPcAtAgreeWithinToolError) {
   config.duration = Seconds(30);
   CtmsExperiment experiment(config);
   const ExperimentReport report = experiment.Run();
-  const SummaryStats truth = report.ground_truth.pre_tx_to_rx.Summary();
-  const SummaryStats measured = report.measured.pre_tx_to_rx.Summary();
+  const DurationStats truth = report.ground_truth.pre_tx_to_rx.Summary();
+  const DurationStats measured = report.measured.pre_tx_to_rx.Summary();
   ASSERT_GT(measured.count, 0u);
   // The PC/AT tool's error is bounded by poll latency + quantization on each endpoint.
   EXPECT_NEAR(measured.mean, truth.mean, static_cast<double>(Microseconds(40)));

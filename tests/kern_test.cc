@@ -272,26 +272,26 @@ class KernelFixture : public ::testing::Test {
 };
 
 TEST_F(KernelFixture, CopyStepsTotalIsExact) {
-  // 2000 bytes at 1 us/byte must total exactly 2000 us across chunked steps.
-  std::vector<Cpu::Step> steps = kernel_.CopySteps(2000, MemoryKind::kSystemMemory,
-                                                   MemoryKind::kIoChannelMemory, Spl::kImp);
+  // 2000 bytes at 1 us/byte must total exactly 2000 us across chunked steps, appended after
+  // the steps already there.
+  std::vector<Cpu::Step> steps(1, Cpu::Step{Microseconds(7), nullptr, Spl::kImp});
+  kernel_.AppendCopySteps(&steps, 2000, MemoryKind::kSystemMemory, MemoryKind::kIoChannelMemory,
+                          Spl::kImp);
+  ASSERT_EQ(steps.size(), 5u);  // the existing step, then 512-byte chunks
+  EXPECT_EQ(steps[0].duration, Microseconds(7));
   SimDuration total = 0;
-  for (const auto& step : steps) {
-    total += step.duration;
+  for (size_t i = 1; i < steps.size(); ++i) {
+    total += steps[i].duration;
   }
   EXPECT_EQ(total, Microseconds(2000));
-  EXPECT_EQ(steps.size(), 4u);  // 512-byte chunks
   EXPECT_EQ(machine_.copies().cpu_copies(), 1u);
 }
 
 TEST_F(KernelFixture, CopyStepsOnDoneRunsOnce) {
   int done = 0;
-  std::vector<Cpu::Step> steps = kernel_.CopySteps(
-      1000, MemoryKind::kSystemMemory, MemoryKind::kSystemMemory, Spl::kNet, [&]() { ++done; });
-  Cpu::Job job;
-  job.name = "copy";
-  job.level = Spl::kNet;
-  job.steps = std::move(steps);
+  Cpu::Job job = machine_.cpu().NewJob("copy", Spl::kNet);
+  kernel_.AppendCopySteps(&job.steps, 1000, MemoryKind::kSystemMemory,
+                          MemoryKind::kSystemMemory, Spl::kNet, [&]() { ++done; });
   machine_.cpu().SubmitInterrupt(std::move(job));
   sim_.RunAll();
   EXPECT_EQ(done, 1);
@@ -299,12 +299,10 @@ TEST_F(KernelFixture, CopyStepsOnDoneRunsOnce) {
 
 TEST_F(KernelFixture, ZeroByteCopyStillRunsOnDone) {
   bool done = false;
-  std::vector<Cpu::Step> steps = kernel_.CopySteps(0, MemoryKind::kSystemMemory,
-                                                   MemoryKind::kSystemMemory, Spl::kNone,
-                                                   [&]() { done = true; });
-  Cpu::Job job;
-  job.name = "copy0";
-  job.steps = std::move(steps);
+  Cpu::Job job = machine_.cpu().NewJob("copy0", Spl::kNone);
+  kernel_.AppendCopySteps(&job.steps, 0, MemoryKind::kSystemMemory, MemoryKind::kSystemMemory,
+                          Spl::kNone, [&]() { done = true; });
+  ASSERT_EQ(job.steps.size(), 1u);
   machine_.cpu().SubmitProcess(std::move(job));
   sim_.RunAll();
   EXPECT_TRUE(done);

@@ -16,7 +16,7 @@ namespace {
 
 TEST(StatsTest, SummaryOfKnownSamples) {
   const std::vector<SimDuration> samples = {10, 20, 30, 40};
-  const SummaryStats stats = Summarize(samples);
+  const DurationStats stats = Summarize(samples);
   EXPECT_EQ(stats.count, 4u);
   EXPECT_EQ(stats.min, 10);
   EXPECT_EQ(stats.max, 40);
@@ -25,7 +25,7 @@ TEST(StatsTest, SummaryOfKnownSamples) {
 }
 
 TEST(StatsTest, EmptySamplesAreSafe) {
-  const SummaryStats stats = Summarize({});
+  const DurationStats stats = Summarize({});
   EXPECT_EQ(stats.count, 0u);
   EXPECT_EQ(FractionWithin({}, 100, 10), 0.0);
 }

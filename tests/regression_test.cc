@@ -19,7 +19,7 @@ TEST(GoldenCalibration, TestCaseATenSeconds) {
   const ExperimentReport report = CtmsExperiment(config).Run();
   EXPECT_EQ(report.packets_built, 833u);
   EXPECT_EQ(report.packets_delivered, 832u);  // the 833rd is still in flight at cutoff
-  const SummaryStats hist7 = report.ground_truth.pre_tx_to_rx.Summary();
+  const DurationStats hist7 = report.ground_truth.pre_tx_to_rx.Summary();
   // The best observed latency over 10 s, exactly (nanoseconds; the analytical floor is
   // 10 739 500 and the rx-side jitter terms rarely all hit zero together).
   EXPECT_EQ(hist7.min, 10748875);

@@ -138,7 +138,7 @@ class JsonChecker {
         }
         const char e = s_[pos_];
         if (e == 'u') {
-          for (int i = 1; i <= 4; ++i) {
+          for (size_t i = 1; i <= 4; ++i) {
             if (pos_ + i >= s_.size() || !IsHex(s_[pos_ + i])) {
               return false;
             }
