@@ -117,6 +117,11 @@ cmake --build build-tsan -j "$(nproc)" --target ctms_tests ctms_sim_cli
 ./build-tsan/tests/ctms_tests --gtest_filter='Campaign*:Fabric*'
 ./build-tsan/tools/ctms_sim --experiment=campaign --grid='seed=1:4' --jobs=4 --duration=1 \
     > /dev/null
+# Every cell runs through RunScenario; pin the trace-replay and mixed-class cell paths too.
+./build-tsan/tools/ctms_sim --experiment=campaign --grid='seed=1:4' \
+    --trace=data/campus_trace.csv --jobs=4 --duration=1 > /dev/null
+./build-tsan/tools/ctms_sim --experiment=campaign --cell-experiment=mediamix \
+    --grid='seed=1:4' --jobs=4 --duration=1 > /dev/null
 ./build-tsan/tools/ctms_sim --experiment=fabric --rings=8 --stations-per-ring=8 \
     --fabric-topology=ring-of-rings --duration=2 --jobs=4 > /dev/null
 

@@ -3,134 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <thread>
 #include <utility>
 
-#include "src/core/baseline.h"
-#include "src/core/experiment.h"
-#include "src/core/faultsweep.h"
-#include "src/core/media_mix.h"
-#include "src/core/multi_stream.h"
-#include "src/core/report_stats.h"
-#include "src/core/router.h"
-#include "src/core/server.h"
-#include "src/fabric/fabric.h"
-
 namespace ctms {
 
-namespace {
-
-RunSummaryInfo InfoFor(const ScenarioConfig& options, std::string scenario) {
-  RunSummaryInfo info;
-  info.scenario = std::move(scenario);
-  info.duration_s = static_cast<double>(options.duration_s);
-  info.seed = options.seed;
-  return info;
-}
-
-void AttachFaultReport(RunSummaryInfo* info, RingTopology& topology) {
-  if (const FaultInjector* injector = topology.fault_injector()) {
-    info->fault = injector->report().Stats();
-  }
-}
-
-// Snapshots the run's registry into the record, cut loose from the Simulation that owns
-// the live one.
-void SnapshotMetrics(CampaignRunRecord* record, Simulation& sim) {
-  record->metrics = std::make_unique<MetricsRegistry>();
-  record->metrics->MergeFrom(sim.telemetry().metrics);
-}
-
-}  // namespace
-
 CampaignRunRecord RunScenarioJob(const CampaignJob& job) {
-  const ScenarioConfig& options = job.config;
-  CampaignRunRecord record;
-  record.label = job.label;
-  if (options.experiment == "baseline") {
-    BaselineExperiment experiment(BaselineConfigFrom(options));
-    const BaselineReport report = experiment.Run();
-    record.info = InfoFor(options, options.tcp ? "baseline-tcp" : "baseline-udp");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.Sustained();
-  } else if (options.experiment == "multistream") {
-    MultiStreamExperiment experiment(MultiStreamConfigFrom(options));
-    const MultiStreamReport report = experiment.Run();
-    record.info = InfoFor(options, "multistream");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.AllSustained();
-  } else if (options.experiment == "server") {
-    ServerExperiment experiment(ServerConfigFrom(options));
-    const ServerReport report = experiment.Run();
-    record.info = InfoFor(options, "server");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.AllSustained();
-  } else if (options.experiment == "router") {
-    RouterExperiment experiment(RouterConfigFrom(options));
-    const RouterReport report = experiment.Run();
-    record.info = InfoFor(options, options.zero_copy ? "router-zero-copy" : "router-mbuf");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.KeepsUp();
-  } else if (options.experiment == "fabric") {
-    FabricExperiment experiment(FabricConfigFrom(options));
-    const FabricReport report = experiment.Run();
-    record.info = InfoFor(options, "fabric");
-    record.info.stats = SummaryStats(report);
-    if (!options.faults.events().empty()) {
-      AttachFaultReport(
-          &record.info,
-          experiment.shard(static_cast<size_t>(report.config.fault_shard)));
-    }
-    // The fabric spans many simulations; snapshot the merged "shard<i>." registry so the
-    // campaign's "run<j>." prefixing nests it one level deeper.
-    record.metrics = std::make_unique<MetricsRegistry>();
-    experiment.MergeMetricsInto(record.metrics.get());
-    record.healthy = report.Healthy();
-  } else if (options.experiment == "mediamix") {
-    MediaMixExperiment experiment(MediaMixConfigFrom(options));
-    const MediaMixReport report = experiment.Run();
-    record.info = InfoFor(options,
-                          options.quality_controller ? "mediamix-controller" : "mediamix-fifo");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.Healthy();
-  } else if (options.experiment == "faultsweep") {
-    FaultSweepExperiment experiment(FaultSweepConfigFrom(options));
-    const FaultSweepReport report = experiment.Run();
-    record.info = InfoFor(options, "faultsweep");
-    record.info.stats = SummaryStats(report);
-    // The sweep spans many simulations; there is no single registry to snapshot.
-    const auto& recoveries = report.config.recoveries;
-    const bool has_none = std::find(recoveries.begin(), recoveries.end(),
-                                    RecoveryMode::kNone) != recoveries.end();
-    bool healthy = !has_none || report.RetransmitBeatsDrop();
-    for (DegradationMode policy : report.config.policies) {
-      for (RecoveryMode recovery : recoveries) {
-        healthy = healthy && report.MonotoneNonIncreasing(policy, recovery);
-      }
-    }
-    record.healthy = healthy;
-  } else {
-    const CtmsConfig config = CtmsConfigFrom(options);
-    CtmsExperiment experiment(config);
-    const ExperimentReport report = experiment.Run();
-    record.info = InfoFor(options, config.name);
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.packets_lost == 0 && report.sink_underruns == 0;
-  }
-  return record;
+  return {RunScenario(job.config, /*console=*/nullptr), job.label};
 }
 
 CampaignRunner::CampaignRunner(ScenarioConfig base, CampaignGrid grid, Options options)
@@ -152,8 +33,9 @@ std::string CampaignRunner::Prepare() {
     cell.experiment = base_.cell_experiment;
     cell.grid_spec.clear();
     cell.jobs = 1;
-    // Output belongs to the campaign, rendered once from the merged report; cells must
-    // never write files or print (workers would race on the same paths).
+    // Output belongs to the campaign, rendered once from the merged report: a cell is the
+    // standalone RunScenario with no console and these fields cleared, so it never prints
+    // or writes files (workers would race on the same paths).
     cell.histogram = 0;
     cell.csv_prefix.clear();
     cell.metrics_json.clear();
@@ -161,9 +43,12 @@ std::string CampaignRunner::Prepare() {
     cell.journey_json.clear();
     cell.print_metrics = false;
     for (const auto& [name, value] : points[i].assignments) {
-      // The campaign's own shape is not sweepable from inside itself.
-      if (name == "experiment" || name == "grid" || name == "jobs" ||
-          name == "cell-experiment") {
+      // Neither the campaign's own shape nor its output is sweepable from inside itself.
+      constexpr const char* kCampaignAxes[] = {
+          "experiment", "grid",         "jobs",       "cell-experiment", "histogram",
+          "csv-prefix", "metrics-json", "trace-json", "journey-json",    "print-metrics"};
+      if (std::any_of(std::begin(kCampaignAxes), std::end(kCampaignAxes),
+                      [&](const char* axis) { return name == axis; })) {
         return "grid axis '" + name + "' cannot be swept inside a campaign";
       }
       std::string error;
@@ -171,19 +56,12 @@ std::string CampaignRunner::Prepare() {
         return "grid point " + job.label + ": " + error;
       }
     }
-    const std::string error = ValidateScenarioConfig(cell);
+    std::string error = ValidateScenarioConfig(cell);
+    if (error.empty()) {
+      error = LoadScenarioFiles(&cell);
+    }
     if (!error.empty()) {
       return "grid point " + job.label + ": " + error;
-    }
-    if (cell.faults_path != base_.faults_path) {
-      // A faults axis swept the plan file; the pre-parsed base plan no longer matches.
-      std::string load_error;
-      auto plan = FaultPlan::LoadFile(cell.faults_path, &load_error);
-      if (!plan.has_value()) {
-        return "grid point " + job.label + ": bad fault plan " + cell.faults_path + ": " +
-               load_error;
-      }
-      cell.faults = std::move(*plan);
     }
     if (options_.independent_faults) {
       // Submission index + 1: salt 0 means "no salt" to the injector fork.

@@ -15,14 +15,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/campaign/grid.h"
-#include "src/core/scenario_cli.h"
+#include "src/core/scenario_run.h"
 #include "src/telemetry/json_export.h"
-#include "src/telemetry/metrics.h"
 
 namespace ctms {
 
@@ -34,14 +32,10 @@ struct CampaignJob {
   ScenarioConfig config;
 };
 
-// What one run leaves behind, snapshotted free of its Simulation so the worker tears the
-// whole testbed down before the merge: the run summary (stats + fault report) and a copy
-// of the run's metrics registry (null for faultsweep cells, which span many simulations).
-struct CampaignRunRecord {
+// What one run leaves behind under its grid label: RunScenario's result, snapshotted free
+// of its Simulation so the worker tears the whole testbed down before the merge.
+struct CampaignRunRecord : ScenarioRun {
   std::string label;
-  bool healthy = false;
-  RunSummaryInfo info;
-  std::unique_ptr<MetricsRegistry> metrics;
 };
 
 struct CampaignReport {
@@ -87,8 +81,9 @@ class CampaignRunner {
 
   CampaignRunner(ScenarioConfig base, CampaignGrid grid, Options options);
 
-  // Expands the grid into the job list and validates every cell against the shared flag
-  // tables. Returns "" when ready to Run(), else a one-line error.
+  // Expands the grid into the job list, validates every cell against the shared flag
+  // tables and loads the files it names (LoadScenarioFiles). Returns "" when ready to
+  // Run(), else a one-line error.
   std::string Prepare();
 
   const std::vector<CampaignJob>& jobs() const { return jobs_; }
@@ -108,9 +103,8 @@ class CampaignRunner {
   bool prepared_ = false;
 };
 
-// The default per-job dispatch: builds the cell experiment from job.config, runs it, and
-// snapshots summary stats, the fault report, and the metrics registry. Exposed so tests
-// can wrap it or call it directly.
+// The default per-job dispatch: RunScenario(job.config) with no console, its result kept
+// as the record. Exposed so tests can wrap it or call it directly.
 CampaignRunRecord RunScenarioJob(const CampaignJob& job);
 
 }  // namespace ctms

@@ -1,7 +1,7 @@
 // Flat name -> value stat lists for every experiment report, in the fixed orders the
-// run-summary JSON has always used. ctms_sim and the campaign runner both render runs
-// through these, so a stat added here shows up in single runs, merged campaign reports,
-// and the aggregate percentile tables alike — and the two front ends cannot drift apart.
+// run-summary JSON has always used. RunScenario renders every run through these, so a
+// stat added here shows up in single runs, merged campaign reports, and the aggregate
+// percentile tables alike.
 
 #ifndef SRC_CORE_REPORT_STATS_H_
 #define SRC_CORE_REPORT_STATS_H_

@@ -301,6 +301,22 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config) {
       return error;
     }
   }
+  // Flags the experiment would otherwise accept and silently drop. A campaign replays
+  // --trace in every cell, so that flag is judged against the cell experiment.
+  const bool campaign = config.experiment == "campaign";
+  const bool faultsweep = config.experiment == "faultsweep";
+  if (!config.trace_path.empty() &&
+      (campaign ? config.cell_experiment : config.experiment) != "ctms") {
+    return "--trace replays background traffic in ctms runs only, not " +
+           (campaign ? "--cell-experiment=" + config.cell_experiment
+                     : "--experiment=" + config.experiment);
+  }
+  if (!config.trace_json.empty() && (campaign || faultsweep || config.experiment == "fabric")) {
+    return "--trace-json is not written by --experiment=" + config.experiment;
+  }
+  if (config.print_metrics && (campaign || faultsweep)) {
+    return "--print-metrics is not printed by --experiment=" + config.experiment;
+  }
   return "";
 }
 

@@ -28,6 +28,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/proto/degradation.h"
 #include "src/proto/recovery.h"
+#include "src/workload/trace_replay.h"
 
 namespace ctms {
 
@@ -74,7 +75,7 @@ struct ScenarioConfig {
 
   // --- faults and degradation ----------------------------------------------------------
   std::string faults_path;       // --faults=plan.json; empty = no plan
-  FaultPlan faults;              // the parsed plan (filled by the tool after validation)
+  FaultPlan faults;              // the parsed plan (filled by LoadScenarioFiles)
   std::string degradation = "drop";  // drop|block|retransmit
   int retry_budget = 3;
   int64_t retry_backoff_ms = 2;
@@ -108,7 +109,8 @@ struct ScenarioConfig {
   int histogram = 0;  // 0 = none, 1..7 = paper histogram number
   int64_t bin_us = 500;
   std::string csv_prefix;
-  std::string trace_path;  // background-traffic replay CSV
+  std::string trace_path;          // background-traffic replay CSV (ctms only)
+  std::vector<TraceEntry> trace;   // the parsed CSV (filled by LoadScenarioFiles)
   bool ground_truth_output = false;
   std::string metrics_json;
   std::string trace_json;
@@ -141,8 +143,10 @@ bool ApplyScenarioAxis(ScenarioConfig* config, const std::string& name,
 bool ApplyScenarioPresenceFlag(ScenarioConfig* config, const std::string& name);
 
 // Post-parse validation shared by the tool and the campaign grid: enumerated string
-// spellings (experiment, scenario, memory, method, degradation) and numeric ranges.
-// Returns an empty string when the config is valid, else a one-line error.
+// spellings (experiment, scenario, memory, method, degradation), numeric ranges, and flags
+// the chosen experiment would otherwise drop (--trace outside ctms runs, --trace-json and
+// --print-metrics where no single simulation exists). Returns an empty string when the
+// config is valid, else a one-line error.
 std::string ValidateScenarioConfig(const ScenarioConfig& config);
 
 // Per-experiment converters. Each copies the fields its experiment understands and leaves

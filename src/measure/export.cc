@@ -58,14 +58,10 @@ bool WriteEventsCsv(const std::vector<ProbeEvent>& events, const std::string& pa
 }
 
 int WritePaperHistogramsCsv(const PaperHistograms& histograms, const std::string& prefix) {
-  const Histogram* all[] = {&histograms.inter_irq,       &histograms.inter_handler,
-                            &histograms.inter_pre_tx,    &histograms.inter_rx,
-                            &histograms.irq_to_handler,  &histograms.handler_to_pre_tx,
-                            &histograms.pre_tx_to_rx};
   int written = 0;
-  for (int i = 0; i < 7; ++i) {
-    const std::string path = prefix + "_hist" + std::to_string(i + 1) + ".csv";
-    if (WriteSamplesCsv(*all[i], path)) {
+  for (int number = 1; number <= 7; ++number) {
+    const std::string path = prefix + "_hist" + std::to_string(number) + ".csv";
+    if (WriteSamplesCsv(histograms.Numbered(number), path)) {
       ++written;
     }
   }

@@ -46,6 +46,12 @@ std::vector<SimDuration> MatchedDifference(const std::vector<ProbeEvent>& events
   return out;
 }
 
+const Histogram& PaperHistograms::Numbered(int number) const {
+  const Histogram* all[] = {&inter_irq,      &inter_handler,     &inter_pre_tx, &inter_rx,
+                            &irq_to_handler, &handler_to_pre_tx, &pre_tx_to_rx};
+  return *all[number - 1];
+}
+
 PaperHistograms BuildPaperHistograms(const std::vector<ProbeEvent>& events) {
   PaperHistograms h;
   h.inter_irq.AddAll(InterOccurrence(events, ProbePoint::kVcaIrq));

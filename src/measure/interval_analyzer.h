@@ -34,6 +34,9 @@ struct PaperHistograms {
   Histogram irq_to_handler{"5: VCA IRQ -> handler entry"};
   Histogram handler_to_pre_tx{"6: handler entry -> pre-transmit"};
   Histogram pre_tx_to_rx{"7: pre-transmit -> rx classified (tx to rx)"};
+
+  // The histogram the paper numbers `number` (1..7).
+  const Histogram& Numbered(int number) const;
 };
 
 PaperHistograms BuildPaperHistograms(const std::vector<ProbeEvent>& events);

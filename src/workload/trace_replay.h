@@ -39,7 +39,6 @@ class TraceReplayTraffic {
   void Stop();
 
   uint64_t frames_sent() const { return frames_sent_; }
-  const std::vector<TraceEntry>& trace() const { return trace_; }
 
  private:
   void ScheduleAll(SimTime base);

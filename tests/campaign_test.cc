@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -16,6 +17,8 @@
 #include "src/campaign/campaign.h"
 #include "src/campaign/grid.h"
 #include "src/core/experiment.h"
+#include "src/core/report_stats.h"
+#include "src/workload/trace_replay.h"
 #include "tests/report_matchers.h"
 
 namespace ctms {
@@ -105,6 +108,44 @@ TEST(CampaignRunnerTest, PrepareRejectsBadAxesAndNestedCampaigns) {
   EXPECT_NE(MakeRunner(CampaignBase(), "experiment=ctms,baseline", {}).Prepare(), "");
   EXPECT_NE(MakeRunner(CampaignBase(), "duration=0,1", {}).Prepare(), "");
   EXPECT_NE(MakeRunner(CampaignBase(), "streams=0:4", {}).Prepare(), "");
+  // Cells run with their output cleared; sweeping an output flag would bring it back.
+  EXPECT_NE(MakeRunner(CampaignBase(), "metrics-json=a.json,b.json", {}).Prepare(), "");
+  EXPECT_NE(MakeRunner(CampaignBase(), "print-metrics=0,1", {}).Prepare(), "");
+  EXPECT_NE(MakeRunner(CampaignBase(), "trace=/nonexistent.csv", {}).Prepare(), "");
+}
+
+// A ctms cell with --trace replays the background traffic exactly as a standalone
+// CtmsExperiment with a looping TraceReplayTraffic does — the trace is not dropped.
+TEST(CampaignRunnerTest, CellReplaysBackgroundTrace) {
+  const std::string path = std::string(CTMS_TESTS_GOLDEN_DIR) + "/../../data/campus_trace.csv";
+  ScenarioConfig base = CampaignBase(/*duration_s=*/2);
+  base.scenario = "B";
+  base.trace_path = path;
+  CampaignRunner runner = MakeRunner(base, "seed=3", {});
+  ASSERT_EQ(runner.Prepare(), "");
+  const CampaignReport report = runner.Run();
+  ASSERT_EQ(report.runs.size(), 1u);
+
+  auto entries = TraceReplayTraffic::LoadCsv(path);
+  ASSERT_TRUE(entries.has_value());
+  ScenarioConfig standalone = base;
+  standalone.experiment = "ctms";
+  standalone.seed = 3;
+  auto run = [&](bool with_trace) {
+    CtmsExperiment experiment(CtmsConfigFrom(standalone));
+    TraceReplayTraffic trace(&experiment.ring(), *entries);
+    if (with_trace) {
+      SimDuration span = 0;
+      for (const TraceEntry& entry : *entries) {
+        span = std::max(span, entry.offset);
+      }
+      trace.Start(/*loop=*/true, span + Milliseconds(50));
+    }
+    return SummaryStats(experiment.Run());
+  };
+  const StatList traced = run(/*with_trace=*/true);
+  ExpectSameStatList(report.runs[0].info.stats, traced);
+  EXPECT_NE(traced, run(/*with_trace=*/false));  // the trace is visible in the stats
 }
 
 // --- deterministic merge ------------------------------------------------------------------
