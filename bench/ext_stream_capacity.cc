@@ -27,7 +27,7 @@ int main() {
     uint64_t worst_lost = 0;
     uint64_t worst_underruns = 0;
     SimDuration worst_latency = 0;
-    for (const StreamQuality& stream : report.streams) {
+    for (const StreamStats& stream : report.streams) {
       worst_lost = std::max(worst_lost, stream.lost + stream.queue_drops);
       worst_underruns = std::max(worst_underruns, stream.underruns);
       worst_latency = std::max(worst_latency, stream.max_latency);

@@ -40,15 +40,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "src/core/experiment.h"
@@ -57,6 +54,7 @@
 #include "src/kern/packet.h"
 #include "src/ring/frame.h"
 #include "src/sim/frame_arena.h"
+#include "src/sim/worker_pool.h"
 #include "src/telemetry/journey.h"
 #include "src/telemetry/telemetry.h"
 
@@ -168,9 +166,9 @@ constexpr int kTrain = 8;  // packets pushed per queue drain, a bridge packet tr
 // carrier, which pays at every hop: make_shared + an atomic refcount pair per queue copy
 // versus a free-list pop + a plain increment per queue copy.
 //
-// Process state matters: both loops run with the shard pool's worker thread parked (see
+// Process state matters: both loops run with a WorkerPool's worker threads parked (see
 // main), because that is the state the production hot path runs in — the fabric's
-// ShardPool threads are alive for the whole run. In a single-threaded process, glibc sets
+// WorkerPool threads are alive for the whole run. In a single-threaded process, glibc sets
 // __libc_single_threaded and libstdc++ quietly downgrades shared_ptr refcounts to plain
 // increments, which would understate what the legacy carrier actually cost under the
 // fabric by >2x. The arena path does not care (its refcounts are always plain).
@@ -379,20 +377,14 @@ int main(int argc, char** argv) {
   PrintHeader("micro_packet_path — zero-copy arena gain + journey recorder overhead gate");
 
   // Part 1: legacy shared_ptr carrier vs the arena handle, identical pool accounting.
-  // A parked worker thread reproduces the fabric's process state (ShardPool alive), so the
+  // A parked worker thread reproduces the fabric's process state (WorkerPool alive), so the
   // shared_ptr side pays the atomic refcounts it really paid there — see the comment on
   // LegacyPathSeconds.
   const uint64_t train_iters = loop_n / (kTrain * 4);
   double legacy_ns = 0.0;
   double arena_ns = 0.0;
   {
-    std::mutex pool_mutex;
-    std::condition_variable pool_cv;
-    bool pool_stop = false;
-    std::thread pool_thread([&] {
-      std::unique_lock<std::mutex> lock(pool_mutex);
-      pool_cv.wait(lock, [&] { return pool_stop; });
-    });
+    WorkerPool pool(2);  // its workers stay parked until the pool dies
     // Paired best-of-N: on a shared machine each sample swings tens of percent (frequency
     // scaling, neighbors), but a legacy/arena pair measured back to back sits in the same
     // machine state, so the pair with the fastest combined time is a consistent snapshot.
@@ -411,12 +403,6 @@ int main(int argc, char** argv) {
         arena_ns = arena_rep;
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(pool_mutex);
-      pool_stop = true;
-    }
-    pool_cv.notify_one();
-    pool_thread.join();
   }
   const double legacy_pps = 1e9 / legacy_ns;
   const double arena_pps = 1e9 / arena_ns;

@@ -108,12 +108,12 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
 cmake --build build-asan -j "$(nproc)" --target ctms_tests
 ./build-asan/tests/ctms_tests
 
-echo "=== sanitizers: TSan (campaign worker pool) ==="
+echo "=== sanitizers: TSan (worker pool: campaign, faultsweep, fabric) ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake --build build-tsan -j "$(nproc)" --target ctms_tests ctms_sim_cli
 # The campaign tests run real worker pools (jobs up to 8), and the fabric determinism
-# tests run real shard pools; the CLI runs below pin both end-to-end paths at --jobs=4.
+# tests run real shard rounds; the CLI runs below pin every WorkerPool path at --jobs=4.
 ./build-tsan/tests/ctms_tests --gtest_filter='Campaign*:Fabric*'
 ./build-tsan/tools/ctms_sim --experiment=campaign --grid='seed=1:4' --jobs=4 --duration=1 \
     > /dev/null
@@ -124,5 +124,9 @@ cmake --build build-tsan -j "$(nproc)" --target ctms_tests ctms_sim_cli
     --grid='seed=1:4' --jobs=4 --duration=1 > /dev/null
 ./build-tsan/tools/ctms_sim --experiment=fabric --rings=8 --stations-per-ring=8 \
     --fabric-topology=ring-of-rings --duration=2 --jobs=4 > /dev/null
+# This small sweep's own verdict is exit 2 (unhealthy); only that code passes, so a race
+# report (TSan exits 66) still fails the gate.
+./build-tsan/tools/ctms_sim --experiment=faultsweep --sweep-levels=2 --recovery=none,hybrid \
+    --jobs=4 --duration=1 > /dev/null || test $? -eq 2
 
 echo "=== all gates clean ==="

@@ -1,12 +1,12 @@
 #include "src/campaign/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <iomanip>
 #include <iterator>
 #include <sstream>
-#include <thread>
 #include <utility>
+
+#include "src/sim/worker_pool.h"
 
 namespace ctms {
 
@@ -88,40 +88,15 @@ CampaignReport CampaignRunner::Run() {
     return report;
   }
   report.runs.resize(jobs_.size());
-  const size_t worker_count =
-      std::min(static_cast<size_t>(options_.jobs), jobs_.size());
-  if (worker_count <= 1) {
-    for (const CampaignJob& job : jobs_) {
-      if (options_.before_run) {
-        options_.before_run(job.index);
-      }
-      report.runs[job.index] = RunOne(job);
+  // Each cell runs on a testbed it alone owns and writes only report.runs[i]; the end of
+  // the round is the only synchronization the merge needs.
+  WorkerPool pool(std::min(static_cast<size_t>(options_.jobs), jobs_.size()));
+  pool.RunRound(jobs_.size(), [&](size_t i) {
+    if (options_.before_run) {
+      options_.before_run(i);
     }
-    return report;
-  }
-  // Shared state between workers: the claim cursor, and each worker's exclusive result
-  // slots. A worker claims job i, runs it on a testbed it alone owns, and writes only
-  // report.runs[i]; the join below is the only synchronization the merge needs.
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    workers.emplace_back([&]() {
-      while (true) {
-        const size_t i = next.fetch_add(1);
-        if (i >= jobs_.size()) {
-          return;
-        }
-        if (options_.before_run) {
-          options_.before_run(i);
-        }
-        report.runs[i] = RunOne(jobs_[i]);
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
+    report.runs[i] = RunOne(jobs_[i]);
+  });
   return report;
 }
 

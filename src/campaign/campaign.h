@@ -1,9 +1,9 @@
-// CampaignRunner — fan a grid of ScenarioConfig runs across a worker pool, merge the
+// CampaignRunner — fan a grid of ScenarioConfig runs across a WorkerPool, merge the
 // results in job-submission order.
 //
 // Each worker owns one fully isolated testbed at a time (its own Simulation, RingTopology,
 // telemetry registry, RNG); workers share nothing but the job queue cursor and their
-// pre-sized result slots. The merge happens single-threaded after every worker has joined,
+// pre-sized result slots. The merge happens single-threaded after the pool's round returns,
 // walking the records in submission (grid-expansion) order — never completion order — so
 // the merged report is byte-identical whatever the worker count or the OS schedule:
 // `--jobs=1` and `--jobs=8` must produce the same bytes, and tests compare them with

@@ -1,11 +1,11 @@
 #include "src/core/faultsweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 #include <utility>
+
+#include "src/sim/worker_pool.h"
 
 namespace ctms {
 
@@ -106,33 +106,9 @@ FaultSweepReport FaultSweepExperiment::Run() {
     report.rows[index] = row;
   };
 
-  const size_t worker_count = std::min(static_cast<size_t>(std::max(config_.jobs, 1)),
-                                       cells.size());
-  if (worker_count <= 1) {
-    for (size_t i = 0; i < cells.size(); ++i) {
-      run_cell(i);
-    }
-    return report;
-  }
-  // Same shape as the campaign runner: a shared claim cursor, exclusive result slots, and
-  // the join as the only synchronization the merge needs.
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    workers.emplace_back([&]() {
-      while (true) {
-        const size_t i = next.fetch_add(1);
-        if (i >= cells.size()) {
-          return;
-        }
-        run_cell(i);
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
+  // Same shape as the campaign runner: exclusive result slots, one round.
+  WorkerPool pool(std::min(static_cast<size_t>(std::max(config_.jobs, 1)), cells.size()));
+  pool.RunRound(cells.size(), run_cell);
   return report;
 }
 

@@ -73,26 +73,14 @@ MultiStreamReport MultiStreamExperiment::Run() {
   MultiStreamReport report;
   report.config = config_;
   for (Stream& stream : streams_) {
-    const StreamStats stats = stream.endpoints->Stats();
-    StreamQuality quality;
-    quality.media_class = stats.media_class;
-    quality.built = stats.built;
-    quality.delivered = stats.delivered;
-    quality.lost = stats.lost;
-    quality.queue_drops = stats.queue_drops;
-    quality.deadline_misses = stats.deadline_misses;
-    quality.underruns = stats.underruns;
-    quality.distortion = stats.distortion;
-    quality.mean_latency = stats.mean_latency;
-    quality.max_latency = stats.max_latency;
-    report.streams.push_back(quality);
+    report.streams.push_back(stream.endpoints->Stats());
   }
   report.ring_utilization = topo_.ring().Utilization();
   return report;
 }
 
 bool MultiStreamReport::AllSustained() const {
-  for (const StreamQuality& stream : streams) {
+  for (const StreamStats& stream : streams) {
     if (stream.built == 0 || stream.lost > 0 || stream.underruns > 0 ||
         stream.queue_drops > 0 || stream.delivered + 2 < stream.built) {
       return false;
@@ -113,7 +101,7 @@ std::string MultiStreamReport::Summary() const {
   os << ": ring " << ring_utilization * 100.0 << "% busy, "
      << (AllSustained() ? "ALL SUSTAINED" : "DEGRADED") << "\n";
   int index = 0;
-  for (const StreamQuality& stream : streams) {
+  for (const StreamStats& stream : streams) {
     os << "  stream " << index++;
     if (!stream.media_class.empty()) {
       os << " [" << stream.media_class << "]";

@@ -41,22 +41,9 @@ struct MultiStreamConfig {
   FaultPlan faults;  // empty = no injector; runs stay bit-identical to plan-free ones
 };
 
-struct StreamQuality {
-  std::string media_class;  // empty for legacy unclassed streams
-  uint64_t built = 0;
-  uint64_t delivered = 0;
-  uint64_t lost = 0;
-  uint64_t queue_drops = 0;
-  uint64_t deadline_misses = 0;  // only accounted for classed streams with a deadline
-  uint64_t underruns = 0;
-  double distortion = 0.0;  // class-weighted QoE proxy; 0 for unclassed streams
-  SimDuration mean_latency = 0;  // source interrupt to presentation
-  SimDuration max_latency = 0;
-};
-
 struct MultiStreamReport {
   MultiStreamConfig config;
-  std::vector<StreamQuality> streams;
+  std::vector<StreamStats> streams;
   double ring_utilization = 0.0;
   // True when every stream delivered everything glitch-free.
   bool AllSustained() const;

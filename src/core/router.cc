@@ -105,14 +105,11 @@ RouterReport RouterExperiment::Run() {
 
   RouterReport report;
   report.config = config_;
-  const StreamStats stats = stream_->Stats();
-  report.packets_built = stats.built;
-  report.packets_delivered = stats.delivered;
-  report.packets_lost = stats.lost;
-  report.sink_underruns = stats.underruns;
-  report.media_class = stats.media_class;
-  report.deadline_misses = stats.deadline_misses;
-  report.distortion = stats.distortion;
+  report.stream = stream_->Stats();
+  report.packets_built = report.stream.built;
+  report.packets_delivered = report.stream.delivered;
+  report.packets_lost = report.stream.lost;
+  report.sink_underruns = report.stream.underruns;
   for (size_t k = 0; k < routers_.size(); ++k) {
     RouterHopStats hop;
     hop.station = routers_[k]->name();
@@ -154,9 +151,9 @@ std::string RouterReport::Summary() const {
          << (r + 1 < ring_utilization.size() ? "" : "\n");
     }
   }
-  if (!media_class.empty()) {
-    os << "  class " << media_class << ": " << deadline_misses << " deadline misses, distortion "
-       << distortion << "\n";
+  if (!stream.media_class.empty()) {
+    os << "  class " << stream.media_class << ": " << stream.deadline_misses
+       << " deadline misses, distortion " << stream.distortion << "\n";
   }
   if (!end_to_end.empty()) {
     os << "  " << end_to_end.SummaryLine() << "\n";

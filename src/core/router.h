@@ -69,9 +69,7 @@ struct RouterReport {
   uint64_t packets_delivered = 0;
   uint64_t packets_lost = 0;
   uint64_t sink_underruns = 0;
-  std::string media_class;  // empty when the stream is unclassed
-  uint64_t deadline_misses = 0;
-  double distortion = 0.0;
+  StreamStats stream;  // the forwarded connection end to end; source of its class row
   std::vector<RouterHopStats> hops;      // one per router station, path order
   std::vector<double> ring_utilization;  // one per ring, path order (hops.size() + 1)
   Histogram end_to_end{"router end-to-end latency"};

@@ -198,6 +198,52 @@ const RangeCheck kRangeChecks[] = {
      "--controller-epoch-ms must be between 1 and 60000"},
 };
 
+// An output or observability flag and the experiments that honour it: the flag changes
+// their stdout, metrics JSON or written files. `by_cell` marks the flags that travel into
+// campaign cells and change what a cell records.
+struct OutputFlagRule {
+  const char* name;
+  bool (*set)(const ScenarioConfig&);
+  std::vector<const char*> honoured_by;
+  bool by_cell;
+};
+
+const std::vector<OutputFlagRule>& OutputFlagRules() {
+  using C = const ScenarioConfig&;
+  static const std::vector<OutputFlagRule> rules = {
+      {"trace", [](C c) { return !c.trace_path.empty(); }, {"ctms"}, true},
+      {"journeys", [](C c) { return c.journeys; }, {"ctms", "fabric"}, true},
+      {"histogram", [](C c) { return c.histogram != 0; }, {"ctms"}, false},
+      {"bin-us",
+       [](C c) {
+         static const int64_t kDefault = ScenarioConfig().bin_us;
+         return c.bin_us != kDefault;
+       },
+       {"ctms"},
+       false},
+      {"ground-truth", [](C c) { return c.ground_truth_output; }, {"ctms"}, false},
+      {"csv-prefix", [](C c) { return !c.csv_prefix.empty(); }, {"ctms", "baseline"}, false},
+      {"journey-json", [](C c) { return !c.journey_json.empty(); }, {"ctms"}, false},
+      {"trace-json",
+       [](C c) { return !c.trace_json.empty(); },
+       {"ctms", "baseline", "multistream", "server", "router", "mediamix"},
+       false},
+      {"print-metrics",
+       [](C c) { return c.print_metrics; },
+       {"ctms", "baseline", "multistream", "server", "router", "mediamix", "fabric"},
+       false},
+  };
+  return rules;
+}
+
+std::string Join(const std::vector<const char*>& names, const char* separator) {
+  std::string joined;
+  for (const char* name : names) {
+    joined += (joined.empty() ? "" : separator) + std::string(name);
+  }
+  return joined;
+}
+
 // Splits a --recovery spelling into its family tokens. The flag accepts a list ("resend,
 // fec") so the faultsweep can run several families in one invocation, and '+' doubles as
 // the separator inside campaign grid axes (where ',' already splits grid values).
@@ -272,12 +318,8 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config) {
     const std::string& value = config.*check.field;
     if (std::none_of(check.allowed.begin(), check.allowed.end(),
                      [&](const char* allowed) { return value == allowed; })) {
-      std::string expected;
-      for (const char* allowed : check.allowed) {
-        expected += expected.empty() ? allowed : std::string(" or ") + allowed;
-      }
-      return "unknown --" + std::string(check.name) + "=" + value + " (expected " + expected +
-             ")";
+      return "unknown --" + std::string(check.name) + "=" + value + " (expected " +
+             Join(check.allowed, " or ") + ")";
     }
   }
   for (const RangeCheck& check : kRangeChecks) {
@@ -301,21 +343,19 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config) {
       return error;
     }
   }
-  // Flags the experiment would otherwise accept and silently drop. A campaign replays
-  // --trace in every cell, so that flag is judged against the cell experiment.
-  const bool campaign = config.experiment == "campaign";
-  const bool faultsweep = config.experiment == "faultsweep";
-  if (!config.trace_path.empty() &&
-      (campaign ? config.cell_experiment : config.experiment) != "ctms") {
-    return "--trace replays background traffic in ctms runs only, not " +
-           (campaign ? "--cell-experiment=" + config.cell_experiment
-                     : "--experiment=" + config.experiment);
-  }
-  if (!config.trace_json.empty() && (campaign || faultsweep || config.experiment == "fabric")) {
-    return "--trace-json is not written by --experiment=" + config.experiment;
-  }
-  if (config.print_metrics && (campaign || faultsweep)) {
-    return "--print-metrics is not printed by --experiment=" + config.experiment;
+  // Output and observability flags an experiment does not honour would otherwise be
+  // accepted and dropped. A campaign honours none of them itself (its cells print and write
+  // nothing); the ones that change what a cell records are judged by the cell experiment.
+  for (const OutputFlagRule& rule : OutputFlagRules()) {
+    const bool by_cell = rule.by_cell && config.experiment == "campaign";
+    const std::string& experiment = by_cell ? config.cell_experiment : config.experiment;
+    if (!rule.set(config) || std::any_of(rule.honoured_by.begin(), rule.honoured_by.end(),
+                                         [&](const char* name) { return experiment == name; })) {
+      continue;
+    }
+    return "--" + std::string(rule.name) + " is not honoured by " +
+           (by_cell ? "--cell-experiment=" : "--experiment=") + experiment + " (only by " +
+           Join(rule.honoured_by, ", ") + ")";
   }
   return "";
 }

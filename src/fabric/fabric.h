@@ -14,7 +14,7 @@
 //   1. With all shards parked (barrier), compute each shard's safe horizon
 //        H_i = min(duration, min over incident links (clock_j + link_latency))
 //      from the clock snapshot — a neighbor can send nothing that arrives before that.
-//   2. Run every shard's window Simulation::RunUntilBefore(H_i) in parallel (ShardPool).
+//   2. Run every shard's window Simulation::RunUntilBefore(H_i) in parallel (WorkerPool).
 //   3. Barrier; drain outboxes in fixed order (shard, then capture order) and schedule the
 //      arrivals with At(arrival) on the receiving shards.
 // Causality: a packet captured at local time t (>= the sender's round-start clock C_i)
@@ -40,7 +40,6 @@
 
 #include "src/dev/media_source.h"
 #include "src/fabric/routing.h"
-#include "src/fabric/sync.h"
 #include "src/fault/fault_plan.h"
 #include "src/hw/memory.h"
 #include "src/sim/time.h"
@@ -97,19 +96,6 @@ struct FabricHopStats {
   std::map<uint8_t, uint64_t> forwarded_by_class;
 };
 
-// Per-class QoE aggregated over the fabric's flows — the same class.<name>.* surface the
-// mediamix and multistream reports expose, here summed across shards.
-struct FabricClassStats {
-  std::string name;
-  int flows = 0;
-  uint64_t built = 0;
-  uint64_t delivered = 0;
-  uint64_t lost = 0;
-  uint64_t deadline_misses = 0;
-  uint64_t underruns = 0;
-  double distortion = 0.0;
-};
-
 struct FabricReport {
   FabricConfig config;
   uint64_t packets_built = 0;      // across all flows
@@ -120,7 +106,7 @@ struct FabricReport {
   uint64_t events_executed = 0;    // summed over shards (deterministic per seed)
   std::vector<FabricHopStats> hops;      // 2 per link: a->b then b->a, link-index order
   std::vector<double> ring_utilization;  // one per shard
-  std::vector<FabricClassStats> classes;  // first-appearance order; empty when unclassed
+  std::vector<ClassQoE> classes;         // ClassRows over the flows; empty when unclassed
 
   bool Healthy() const {
     return packets_built > 0 && packets_lost == 0 && sink_underruns == 0;

@@ -1,5 +1,6 @@
 #include "src/testbed/stream.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace ctms {
@@ -210,6 +211,8 @@ StreamStats StreamEndpoints::Stats() const {
   }
   if (media_source_ != nullptr) {
     stats.built = media_source_->packets_sent();
+    stats.mbuf_drops = media_source_->mbuf_drops();
+    stats.queue_drops = media_source_->queue_drops();
     stats.starvations = media_source_->starvations();
   }
   if (receiver_ != nullptr) {
@@ -253,6 +256,45 @@ StreamStats StreamEndpoints::Stats() const {
                        media_class_->underrun_weight * static_cast<double>(stats.underruns);
   }
   return stats;
+}
+
+std::vector<ClassQoE> ClassRows(const std::vector<StreamStats>& streams) {
+  std::vector<ClassQoE> rows;
+  std::vector<SimDuration> latency_sums;  // parallel to rows
+  for (const StreamStats& stream : streams) {
+    if (stream.media_class.empty()) {
+      continue;
+    }
+    const auto it = std::find_if(rows.begin(), rows.end(), [&](const ClassQoE& row) {
+      return row.name == stream.media_class;
+    });
+    const size_t slot = static_cast<size_t>(it - rows.begin());
+    if (it == rows.end()) {
+      rows.emplace_back().name = stream.media_class;
+      latency_sums.push_back(0);
+    }
+    ClassQoE& row = rows[slot];
+    ++row.streams;
+    row.built += stream.built;
+    row.delivered += stream.delivered;
+    row.lost += stream.lost;
+    row.queue_drops += stream.queue_drops + stream.mbuf_drops;
+    row.deadline_misses += stream.deadline_misses;
+    row.underruns += stream.underruns;
+    row.starvation_time += stream.starvation_time;
+    row.distortion += stream.distortion;
+    row.max_latency = std::max(row.max_latency, stream.max_latency);
+    latency_sums[slot] += stream.mean_latency;
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ClassQoE& row = rows[i];
+    if (row.delivered > 0) {
+      row.deadline_miss_rate =
+          static_cast<double>(row.deadline_misses) / static_cast<double>(row.delivered);
+    }
+    row.mean_latency = latency_sums[i] / row.streams;
+  }
+  return rows;
 }
 
 MediaSource& StreamEndpoints::source() {

@@ -1,7 +1,8 @@
 // StreamEndpoints: wires one media stream between two stations — the CTMSP transmitter and
 // receiver connection state, the source (a VCA capture device or the media server's
 // disk-backed source), the playout sink, and the receive-side demux — and exposes one
-// per-stream accounting struct that every experiment report draws from.
+// per-stream accounting struct that every experiment report draws from, plus ClassRows,
+// which sums those rows into the per-class report rows.
 
 #ifndef SRC_TESTBED_STREAM_H_
 #define SRC_TESTBED_STREAM_H_
@@ -11,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/dev/disk.h"
 #include "src/dev/media_server.h"
@@ -52,6 +54,29 @@ struct StreamStats {
   SimDuration starvation_time = 0;  // playout time the consumer sat starved
   double distortion = 0.0;          // class-weighted loss/late/underrun proxy
 };
+
+// One media class summed over its streams: the class.<name>.* report surface.
+struct ClassQoE {
+  std::string name;
+  int streams = 0;
+  uint64_t built = 0;
+  uint64_t delivered = 0;
+  uint64_t lost = 0;
+  // Source-side drops (queue + mbuf). Bridge and router drops stay in the hop rows.
+  uint64_t queue_drops = 0;
+  uint64_t deadline_misses = 0;
+  uint64_t underruns = 0;
+  SimDuration starvation_time = 0;  // summed sink starvation
+  double deadline_miss_rate = 0.0;  // misses / delivered
+  double distortion = 0.0;
+  SimDuration mean_latency = 0;     // mean of the class's per-stream means
+  SimDuration max_latency = 0;
+  int ring_priority = -1;  // mediamix controller's final assignment; -1 when not set
+};
+
+// The only code that sums streams into classes: one row per media class in first-appearance
+// order; unclassed streams are skipped, so an unclassed run yields no rows.
+std::vector<ClassQoE> ClassRows(const std::vector<StreamStats>& streams);
 
 class StreamEndpoints {
  public:

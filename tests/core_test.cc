@@ -126,7 +126,7 @@ TEST(MultiStreamTest, ThreeStreamsSaturateTheRing) {
   EXPECT_FALSE(report.AllSustained());
   EXPECT_GT(report.ring_utilization, 0.95);
   // Fairness: all three degrade together (same priority), none starves outright.
-  for (const StreamQuality& stream : report.streams) {
+  for (const StreamStats& stream : report.streams) {
     EXPECT_GT(stream.delivered, stream.built * 9 / 10);
   }
 }

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/campaign/campaign.h"
@@ -17,6 +19,7 @@
 #include "src/core/multi_stream.h"
 #include "src/core/report_stats.h"
 #include "src/core/scenario_cli.h"
+#include "src/core/scenario_run.h"
 #include "src/dev/media_source.h"
 #include "src/dev/vca.h"
 #include "src/hw/machine.h"
@@ -299,6 +302,106 @@ TEST(MultiStreamTest, ClassedWorkloadAppendsClassRowsAfterLegacyKeys) {
   }));
 }
 
+// --- ClassRows: the one definition of a class row ------------------------------------------
+
+TEST(ClassRowsTest, SkipsUnclassedStreamsAndKeepsFirstAppearanceOrder) {
+  auto stream = [](const std::string& media_class, uint64_t built, SimDuration mean) {
+    StreamStats stats;
+    stats.media_class = media_class;
+    stats.built = built;
+    stats.delivered = built;
+    stats.deadline_misses = 1;
+    stats.queue_drops = 2;
+    stats.mbuf_drops = 3;
+    stats.starvation_time = Milliseconds(5);
+    stats.mean_latency = mean;
+    stats.max_latency = mean * 2;
+    return stats;
+  };
+  EXPECT_TRUE(ClassRows({stream("", 10, 1)}).empty());
+  const std::vector<ClassQoE> rows = ClassRows(
+      {stream("vbr", 10, 100), stream("", 99, 1), stream("voice", 4, 50), stream("vbr", 30, 300)});
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].name, "vbr");
+  EXPECT_EQ(rows[0].streams, 2);
+  EXPECT_EQ(rows[0].built, 40u);
+  EXPECT_EQ(rows[0].queue_drops, 10u);  // queue + mbuf drops of both streams
+  EXPECT_EQ(rows[0].starvation_time, Milliseconds(10));
+  EXPECT_DOUBLE_EQ(rows[0].deadline_miss_rate, 2.0 / 40.0);
+  EXPECT_EQ(rows[0].mean_latency, 200);  // mean of the per-stream means
+  EXPECT_EQ(rows[0].max_latency, 600);
+  EXPECT_EQ(rows[0].ring_priority, -1);
+  EXPECT_EQ(rows[1].name, "voice");
+  EXPECT_EQ(rows[1].streams, 1);
+}
+
+// Every classed experiment's class.<name>.queue_drops is its streams' source drops and its
+// starvation_ms is its sinks' starvation, so each must equal the stations' own counters.
+TEST(ClassRowsTest, ClassRowsMatchStationCounters) {
+  struct Case {
+    std::vector<std::string> flags;
+    // class name -> regex over counter names selecting that class's source drop counters
+    std::vector<std::pair<std::string, std::string>> source_drops;
+  };
+  const std::string drops = R"(\.(mbuf|queue)_drops$)";
+  const std::vector<Case> cases = {
+      {{"experiment=multistream", "mix=vca:4", "duration=30"},
+       {{"vca", R"(^driver\.vca\.tx\d+)" + drops}}},
+      {{"experiment=server", "mix=vbr:6", "duration=10"},
+       {{"vbr", R"(^driver\.media\.server)" + drops}}},
+      {{"experiment=router", "mix=vbr", "chain-hops=3", "duration=5"},
+       {{"vbr", R"(^driver\.vca\.src)" + drops}}},
+      // Four shards; flow f (on shard f) gets class f mod 2.
+      {{"experiment=fabric", "mix=voice:2,vbr:2", "duration=5"},
+       {{"voice", R"(^shard[02]\.driver\.vca\.src)" + drops},
+        {"vbr", R"(^shard[13]\.driver\.vca\.src)" + drops}}},
+      {{"experiment=mediamix", "mix=voice:8,vbr:4,bulk:2", "duration=10"},
+       {{"voice", R"(^driver\.vca\.tx_voice\d+)" + drops},
+        {"vbr", R"(^driver\.vca\.tx_vbr\d+)" + drops},
+        {"bulk", R"(^driver\.vca\.tx_bulk\d+)" + drops}}},
+  };
+  for (const Case& c : cases) {
+    ScenarioConfig config;
+    for (const std::string& flag : c.flags) {
+      const size_t eq = flag.find('=');
+      ASSERT_TRUE(ApplyScenarioAxis(&config, flag.substr(0, eq), flag.substr(eq + 1), nullptr));
+    }
+    ASSERT_EQ(ValidateScenarioConfig(config), "");
+    const ScenarioRun run = RunScenario(config, nullptr);
+    auto stat = [&](const std::string& key) {
+      for (const auto& [name, value] : run.info.stats) {
+        if (name == key) {
+          return value;
+        }
+      }
+      ADD_FAILURE() << config.experiment << ": no stat " << key;
+      return -1.0;
+    };
+    auto counter_sum = [&](const std::string& pattern) {
+      const std::regex re(pattern);
+      uint64_t sum = 0;
+      for (const auto& [name, counter] : run.metrics->counters()) {
+        if (std::regex_search(name, re)) {
+          sum += counter.value();
+        }
+      }
+      return sum;
+    };
+    double starved_ms = 0.0;
+    for (const auto& [name, pattern] : c.source_drops) {
+      SCOPED_TRACE(config.experiment + " class " + name);
+      EXPECT_EQ(stat("class." + name + ".queue_drops"),
+                static_cast<double>(counter_sum(pattern)));
+      const double starvation_ms =
+          static_cast<double>(counter_sum(R"((^|\.)qoe\.)" + name + R"(\.[^.]+\.starvation_ns$)")) /
+          1e6;
+      EXPECT_NEAR(stat("class." + name + ".starvation_ms"), starvation_ms, 1e-6);
+      starved_ms += starvation_ms;
+    }
+    EXPECT_GT(starved_ms, 0.0) << config.experiment << ": the run must exercise starvation";
+  }
+}
+
 // --- equivalence: the redesigned source layer does not disturb legacy behaviour -----------
 
 TEST(MultiStreamTest, AllVcaWorkloadMatchesLegacyConstructionExactly) {
@@ -319,8 +422,8 @@ TEST(MultiStreamTest, AllVcaWorkloadMatchesLegacyConstructionExactly) {
 
   ASSERT_EQ(classed_report.streams.size(), legacy_report.streams.size());
   for (size_t i = 0; i < legacy_report.streams.size(); ++i) {
-    const StreamQuality& a = legacy_report.streams[i];
-    const StreamQuality& b = classed_report.streams[i];
+    const StreamStats& a = legacy_report.streams[i];
+    const StreamStats& b = classed_report.streams[i];
     EXPECT_EQ(a.built, b.built) << "stream " << i;
     EXPECT_EQ(a.delivered, b.delivered) << "stream " << i;
     EXPECT_EQ(a.lost, b.lost) << "stream " << i;

@@ -130,7 +130,7 @@ TEST(ServerExperimentTest, TwoHalfRateClientsNeedReadAhead) {
   EXPECT_FALSE(thrash_report.AllSustained());
   uint64_t starvations = 0;
   for (const auto& client : thrash_report.clients) {
-    starvations += client.server_starvations;
+    starvations += client.starvations;
   }
   EXPECT_GT(starvations, 100u);
   EXPECT_GT(thrash_report.disk_utilization, 0.9);
@@ -155,7 +155,7 @@ TEST(ServerExperimentTest, AdapterSerializationCapsFullRateStreams) {
   uint64_t starvations = 0;
   for (const auto& client : report.clients) {
     lost += client.lost;
-    starvations += client.server_starvations;
+    starvations += client.starvations;
   }
   EXPECT_GT(lost, 100u);       // the driver queue overflows
   EXPECT_LT(starvations, 20u);  // and it is NOT the disk's fault
@@ -172,7 +172,7 @@ TEST(ServerExperimentTest, SmallFileLoopsAtEof) {
   config.duration = Seconds(10);
   const ServerReport report = ServerExperiment(config).Run();
   EXPECT_TRUE(report.AllSustained()) << report.Summary();
-  EXPECT_GT(report.clients[0].sent, 700u);  // several times the file's length
+  EXPECT_GT(report.clients[0].built, 700u);  // several times the file's length
   // Wraps break pure sequentiality but only once per pass.
   EXPECT_LT(report.disk_sequential_fraction, 1.0);
   EXPECT_GT(report.disk_sequential_fraction, 0.8);

@@ -273,11 +273,11 @@ TEST(GoldenEquivalence, ServerTwoClientsTenSecondsSeed2) {
   EXPECT_EQ(r.disk_worst_service, 44722185);
   EXPECT_NEAR(r.ring_utilization, 0.344614200000, 1e-9);
   ASSERT_EQ(r.clients.size(), 2u);
-  for (const ServerClientQuality& client : r.clients) {
-    EXPECT_EQ(client.sent, 827u);
+  for (const StreamStats& client : r.clients) {
+    EXPECT_EQ(client.built, 827u);
     EXPECT_EQ(client.delivered, 826u);
     EXPECT_EQ(client.lost, 0u);
-    EXPECT_EQ(client.server_starvations, 0u);
+    EXPECT_EQ(client.starvations, 0u);
     EXPECT_EQ(client.underruns, 0u);
   }
 }

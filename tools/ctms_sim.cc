@@ -102,25 +102,27 @@ void PrintUsage() {
       "                        byte-identical for every N\n"
       "  --cell-experiment=E   experiment each grid point runs (default ctms)\n"
       "  --independent-faults  salt each run's fault-RNG fork with its grid index\n\n"
-      "measurement and output:\n"
+      "measurement and output (a flag an experiment does not honour is rejected):\n"
       "  --method=pcat|rtpc|logic|truth   instrument (default pcat)\n"
-      "  --histogram=1..7      render a paper histogram as ASCII\n"
-      "  --bin-us=N            histogram bin width (default 500)\n"
-      "  --ground-truth        render histograms from the perfect observer\n"
-      "  --csv-prefix=PATH     export all seven histograms as PATH_histN.csv\n"
+      "  --histogram=1..7      render a paper histogram as ASCII (ctms only)\n"
+      "  --bin-us=N            histogram bin width (default 500; ctms only)\n"
+      "  --ground-truth        render histograms from the perfect observer (ctms only)\n"
+      "  --csv-prefix=PATH     export all seven histograms as PATH_histN.csv (ctms), or\n"
+      "                        the latency samples as PATH_latency.csv (baseline)\n"
       "  --metrics-json=FILE   write the run summary + full metrics registry as JSON\n"
       "                        (campaign: the merged aggregate + per-run document)\n"
       "  --trace-json=FILE     write a Chrome trace-event JSON (Perfetto-loadable);\n"
       "                        rejected for fabric, faultsweep and campaign\n"
       "  --print-metrics       print every telemetry counter after the run (fabric: the\n"
       "                        merged shard registry); rejected for faultsweep and campaign\n\n"
-      "packet journeys (ctms experiment; sweepable like every other flag):\n"
+      "packet journeys (sweepable like every other flag):\n"
       "  --journeys            per-packet lifecycle recording with a per-stage latency\n"
-      "                        breakdown (source IRQ to delivery) in the run summary\n"
+      "                        breakdown (source IRQ to delivery) in the run summary;\n"
+      "                        ctms and fabric runs and their campaign cells only\n"
       "  --flight-recorder=N   finished journeys retained for post-mortems (default 64)\n"
-      "  --journey-json=FILE   write the flight-recorder dump; when omitted, an anomaly\n"
-      "                        (deadline miss, drop, retransmit, reorder-evict) writes\n"
-      "                        flight_recorder.json automatically\n"
+      "  --journey-json=FILE   write the flight-recorder dump (ctms only); when omitted,\n"
+      "                        an anomaly (deadline miss, drop, retransmit,\n"
+      "                        reorder-evict) writes flight_recorder.json automatically\n"
       "  --stage-histograms    per-stage log2 delta histograms in the breakdown\n");
 }
 
