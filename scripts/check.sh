@@ -66,6 +66,11 @@ echo "=== bench smoke: FEC encode/repair correctness gate ==="
 ./build/bench/micro_recovery --smoke --json=BENCH_recovery.json
 echo "wrote BENCH_recovery.json"
 
+echo "=== bench smoke: report-time probe analysis vs its std::map reference ==="
+# Exits nonzero when the flat sort-merge analysis disagrees with the reference.
+./build/bench/micro_report --smoke --json=BENCH_report.json
+echo "wrote BENCH_report.json"
+
 echo "=== recovery determinism: faultsweep --jobs=1 vs --jobs=4 byte-diff ==="
 # Every recovery family swept, same seed, any cell-worker count: the exported degradation
 # curve (and the recovery frontier columns) must be byte-identical. A diff here means a
@@ -89,7 +94,7 @@ echo "=== bench regression: fresh results vs committed trajectory seeds ==="
 # ships with its deliberately regenerated seed.
 python3 scripts/bench_regression.py --self-test
 for f in BENCH_event_queue.json BENCH_packet_path.json BENCH_fabric.json \
-         BENCH_source.json BENCH_recovery.json; do
+         BENCH_source.json BENCH_recovery.json BENCH_report.json; do
   python3 scripts/bench_regression.py "bench/trajectory/$f" "$f"
 done
 

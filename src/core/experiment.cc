@@ -277,16 +277,16 @@ ExperimentReport CtmsExperiment::Run() {
   return Report();
 }
 
-std::vector<ProbeEvent> CtmsExperiment::MeasuredEvents() const {
+PaperHistograms CtmsExperiment::MeasuredHistograms(const PaperHistograms& ground_truth) const {
   switch (config_.method) {
     case MeasurementMethod::kGroundTruth:
-      return ground_truth_->events();
+      return ground_truth;
     case MeasurementMethod::kRtPcPseudoDevice:
-      return rtpc_->events();
+      return BuildPaperHistograms(rtpc_->events());
     case MeasurementMethod::kPcAt:
-      return pcat_->Decode();
+      return BuildPaperHistograms(pcat_->Decode());
     case MeasurementMethod::kLogicAnalyzer:
-      return logic_->trace();
+      return BuildPaperHistograms(logic_->trace());
   }
   return {};
 }
@@ -294,8 +294,8 @@ std::vector<ProbeEvent> CtmsExperiment::MeasuredEvents() const {
 ExperimentReport CtmsExperiment::Report() {
   ExperimentReport report;
   report.config = config_;
-  report.measured = BuildPaperHistograms(MeasuredEvents());
   report.ground_truth = BuildPaperHistograms(ground_truth_->events());
+  report.measured = MeasuredHistograms(report.ground_truth);
 
   const StreamStats stats = stream_->Stats();
   report.irq_count = stats.interrupts;

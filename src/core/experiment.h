@@ -124,7 +124,9 @@ class CtmsExperiment {
   PcAtTimestamper* pcat() { return pcat_.get(); }
 
  private:
-  std::vector<ProbeEvent> MeasuredEvents() const;
+  // The paper histograms as the configured instrument saw them; the ground-truth method
+  // reuses the histograms already built from `ground_truth`.
+  PaperHistograms MeasuredHistograms(const PaperHistograms& ground_truth) const;
 
   CtmsConfig config_;
   RingTopology topo_;  // owns the simulation, probes, ring, both stations, and environment

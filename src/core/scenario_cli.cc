@@ -200,30 +200,40 @@ const RangeCheck kRangeChecks[] = {
 
 // An output or observability flag and the experiments that honour it: the flag changes
 // their stdout, metrics JSON or written files. `by_cell` marks the flags that travel into
-// campaign cells and change what a cell records.
+// campaign cells and change what a cell records. A flag that only modifies another output
+// names it in `needs` and tests for it with `needs_met`; alone it would change nothing.
 struct OutputFlagRule {
   const char* name;
   bool (*set)(const ScenarioConfig&);
   std::vector<const char*> honoured_by;
   bool by_cell;
+  const char* needs = nullptr;
+  bool (*needs_met)(const ScenarioConfig&) = nullptr;
 };
 
 const std::vector<OutputFlagRule>& OutputFlagRules() {
   using C = const ScenarioConfig&;
+  static const ScenarioConfig kDefaults;
   static const std::vector<OutputFlagRule> rules = {
       {"trace", [](C c) { return !c.trace_path.empty(); }, {"ctms"}, true},
       {"journeys", [](C c) { return c.journeys; }, {"ctms", "fabric"}, true},
       {"histogram", [](C c) { return c.histogram != 0; }, {"ctms"}, false},
-      {"bin-us",
-       [](C c) {
-         static const int64_t kDefault = ScenarioConfig().bin_us;
-         return c.bin_us != kDefault;
-       },
-       {"ctms"},
-       false},
-      {"ground-truth", [](C c) { return c.ground_truth_output; }, {"ctms"}, false},
+      {"bin-us", [](C c) { return c.bin_us != kDefaults.bin_us; }, {"ctms"}, false,
+       "--histogram", [](C c) { return c.histogram != 0; }},
+      {"ground-truth", [](C c) { return c.ground_truth_output; }, {"ctms"}, false,
+       "--histogram or --csv-prefix",
+       [](C c) { return c.histogram != 0 || !c.csv_prefix.empty(); }},
       {"csv-prefix", [](C c) { return !c.csv_prefix.empty(); }, {"ctms", "baseline"}, false},
-      {"journey-json", [](C c) { return !c.journey_json.empty(); }, {"ctms"}, false},
+      {"journey-json", [](C c) { return !c.journey_json.empty(); }, {"ctms"}, false,
+       "--journeys", [](C c) { return c.journeys; }},
+      {"stage-histograms", [](C c) { return c.stage_histograms; }, {"ctms"}, false,
+       "--journeys", [](C c) { return c.journeys; }},
+      {"flight-recorder",
+       [](C c) { return c.flight_recorder != kDefaults.flight_recorder; },
+       {"ctms"},
+       false,
+       "--journeys",
+       [](C c) { return c.journeys; }},
       {"trace-json",
        [](C c) { return !c.trace_json.empty(); },
        {"ctms", "baseline", "multistream", "server", "router", "mediamix"},
@@ -349,13 +359,18 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config) {
   for (const OutputFlagRule& rule : OutputFlagRules()) {
     const bool by_cell = rule.by_cell && config.experiment == "campaign";
     const std::string& experiment = by_cell ? config.cell_experiment : config.experiment;
-    if (!rule.set(config) || std::any_of(rule.honoured_by.begin(), rule.honoured_by.end(),
-                                         [&](const char* name) { return experiment == name; })) {
+    if (!rule.set(config)) {
       continue;
     }
-    return "--" + std::string(rule.name) + " is not honoured by " +
-           (by_cell ? "--cell-experiment=" : "--experiment=") + experiment + " (only by " +
-           Join(rule.honoured_by, ", ") + ")";
+    if (std::none_of(rule.honoured_by.begin(), rule.honoured_by.end(),
+                     [&](const char* name) { return experiment == name; })) {
+      return "--" + std::string(rule.name) + " is not honoured by " +
+             (by_cell ? "--cell-experiment=" : "--experiment=") + experiment + " (only by " +
+             Join(rule.honoured_by, ", ") + ")";
+    }
+    if (rule.needs != nullptr && !rule.needs_met(config)) {
+      return "--" + std::string(rule.name) + " has no effect without " + rule.needs;
+    }
   }
   return "";
 }

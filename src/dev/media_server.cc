@@ -15,7 +15,8 @@ MediaServerSource::MediaServerSource(UnixKernel* kernel, MediaDisk* disk,
       connection_(connection),
       config_(std::move(config)) {
   MetricsRegistry& metrics = kernel_->sim()->telemetry().metrics;
-  const std::string prefix = "driver.media." + kernel_->machine()->name() + ".";
+  const std::string prefix =
+      "driver.media." + kernel_->machine()->name() + "." + config_.file + ".";
   packets_sent_counter_ = metrics.GetCounter(prefix + "packets_sent");
   starvations_counter_ = metrics.GetCounter(prefix + "starvations");
   disk_reads_counter_ = metrics.GetCounter(prefix + "disk_reads");

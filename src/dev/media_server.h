@@ -90,7 +90,8 @@ class MediaServerSource : public MediaSource {
   uint64_t mbuf_drops_ = 0;
   uint64_t queue_drops_ = 0;
 
-  // Cached telemetry slots (driver.media.<machine>.*).
+  // Cached telemetry slots (driver.media.<machine>.<file>.*: one row per stream, however
+  // many streams the machine serves).
   Counter* packets_sent_counter_;
   Counter* starvations_counter_;
   Counter* disk_reads_counter_;

@@ -1,49 +1,101 @@
 #include "src/measure/interval_analyzer.h"
 
-#include <map>
+#include <algorithm>
+#include <array>
 
 namespace ctms {
+namespace {
 
-std::vector<SimDuration> InterOccurrence(const std::vector<ProbeEvent>& events,
-                                         ProbePoint point) {
+// One probe record reduced to what matching needs.
+struct SeqTime {
+  uint32_t seq;
+  SimTime time;
+};
+
+// Time between consecutive records, in arrival order.
+std::vector<SimDuration> Gaps(const std::vector<SeqTime>& records) {
   std::vector<SimDuration> out;
-  bool have_prev = false;
-  SimTime prev = 0;
-  for (const ProbeEvent& event : events) {
-    if (event.point != point) {
-      continue;
-    }
-    if (have_prev) {
-      out.push_back(event.time - prev);
-    }
-    prev = event.time;
-    have_prev = true;
+  if (records.size() > 1) {
+    out.reserve(records.size() - 1);
+  }
+  for (size_t i = 1; i < records.size(); ++i) {
+    out.push_back(records[i].time - records[i - 1].time);
   }
   return out;
 }
 
-std::vector<SimDuration> MatchedDifference(const std::vector<ProbeEvent>& events,
-                                           ProbePoint from, ProbePoint to) {
-  // seq -> first observed time at each endpoint. First observation wins, so a retransmitted
-  // duplicate does not overwrite the original (matching the paper's dedup handling).
-  std::map<uint32_t, SimTime> from_times;
-  std::map<uint32_t, SimTime> to_times;
-  for (const ProbeEvent& event : events) {
-    if (event.point == from) {
-      from_times.emplace(event.seq, event.time);
-    } else if (event.point == to) {
-      to_times.emplace(event.seq, event.time);
-    }
+// Orders `records` by seq and keeps only each seq's first observation, so a retransmitted
+// duplicate never overwrites the original. The sort is stable (equal seqs keep arrival
+// order, so the first one seen survives) and skipped when the records already ascend.
+void KeepFirstBySeq(std::vector<SeqTime>* records) {
+  const auto seq_less = [](const SeqTime& a, const SeqTime& b) { return a.seq < b.seq; };
+  if (!std::is_sorted(records->begin(), records->end(), seq_less)) {
+    std::stable_sort(records->begin(), records->end(), seq_less);
   }
+  records->erase(std::unique(records->begin(), records->end(),
+                             [](const SeqTime& a, const SeqTime& b) { return a.seq == b.seq; }),
+                 records->end());
+}
+
+// Merge join of two KeepFirstBySeq outputs: to.time - from.time for every seq in both, in
+// ascending seq order.
+std::vector<SimDuration> JoinBySeq(const std::vector<SeqTime>& from,
+                                   const std::vector<SeqTime>& to) {
   std::vector<SimDuration> out;
-  out.reserve(from_times.size());
-  for (const auto& [seq, t_from] : from_times) {
-    auto it = to_times.find(seq);
-    if (it != to_times.end()) {
-      out.push_back(it->second - t_from);
+  out.reserve(std::min(from.size(), to.size()));
+  auto it = to.begin();
+  for (const SeqTime& f : from) {
+    while (it != to.end() && it->seq < f.seq) {
+      ++it;
+    }
+    if (it == to.end()) {
+      break;
+    }
+    if (it->seq == f.seq) {
+      out.push_back(it->time - f.time);
     }
   }
   return out;
+}
+
+// The records of each probe point, in arrival order, split in one pass.
+std::array<std::vector<SeqTime>, kProbePointCount> SplitByPoint(
+    const std::vector<ProbeEvent>& events) {
+  std::array<size_t, kProbePointCount> counts{};
+  for (const ProbeEvent& event : events) {
+    ++counts[ProbeIndex(event.point)];
+  }
+  std::array<std::vector<SeqTime>, kProbePointCount> by_point;
+  for (size_t i = 0; i < kProbePointCount; ++i) {
+    by_point[i].reserve(counts[i]);
+  }
+  for (const ProbeEvent& event : events) {
+    by_point[ProbeIndex(event.point)].push_back(SeqTime{event.seq, event.time});
+  }
+  return by_point;
+}
+
+}  // namespace
+
+std::vector<SimDuration> InterOccurrence(const std::vector<ProbeEvent>& events,
+                                         ProbePoint point) {
+  return Gaps(SplitByPoint(events)[ProbeIndex(point)]);
+}
+
+std::vector<SimDuration> MatchedDifference(const std::vector<ProbeEvent>& events,
+                                           ProbePoint from, ProbePoint to) {
+  std::vector<SeqTime> from_records;
+  std::vector<SeqTime> to_records;
+  for (const ProbeEvent& event : events) {
+    if (event.point == from) {
+      from_records.push_back(SeqTime{event.seq, event.time});
+    } else if (event.point == to) {
+      to_records.push_back(SeqTime{event.seq, event.time});
+    }
+  }
+  KeepFirstBySeq(&from_records);
+  KeepFirstBySeq(&to_records);
+  return JoinBySeq(from_records, to_records);
 }
 
 const Histogram& PaperHistograms::Numbered(int number) const {
@@ -53,17 +105,23 @@ const Histogram& PaperHistograms::Numbered(int number) const {
 }
 
 PaperHistograms BuildPaperHistograms(const std::vector<ProbeEvent>& events) {
+  std::array<std::vector<SeqTime>, kProbePointCount> by_point = SplitByPoint(events);
+  auto& irq = by_point[ProbeIndex(ProbePoint::kVcaIrq)];
+  auto& handler = by_point[ProbeIndex(ProbePoint::kVcaHandlerEntry)];
+  auto& pre_tx = by_point[ProbeIndex(ProbePoint::kPreTransmit)];
+  auto& rx = by_point[ProbeIndex(ProbePoint::kRxClassified)];
+
   PaperHistograms h;
-  h.inter_irq.AddAll(InterOccurrence(events, ProbePoint::kVcaIrq));
-  h.inter_handler.AddAll(InterOccurrence(events, ProbePoint::kVcaHandlerEntry));
-  h.inter_pre_tx.AddAll(InterOccurrence(events, ProbePoint::kPreTransmit));
-  h.inter_rx.AddAll(InterOccurrence(events, ProbePoint::kRxClassified));
-  h.irq_to_handler.AddAll(
-      MatchedDifference(events, ProbePoint::kVcaIrq, ProbePoint::kVcaHandlerEntry));
-  h.handler_to_pre_tx.AddAll(
-      MatchedDifference(events, ProbePoint::kVcaHandlerEntry, ProbePoint::kPreTransmit));
-  h.pre_tx_to_rx.AddAll(
-      MatchedDifference(events, ProbePoint::kPreTransmit, ProbePoint::kRxClassified));
+  h.inter_irq.AddAll(Gaps(irq));
+  h.inter_handler.AddAll(Gaps(handler));
+  h.inter_pre_tx.AddAll(Gaps(pre_tx));
+  h.inter_rx.AddAll(Gaps(rx));
+  for (std::vector<SeqTime>& records : by_point) {
+    KeepFirstBySeq(&records);
+  }
+  h.irq_to_handler.AddAll(JoinBySeq(irq, handler));
+  h.handler_to_pre_tx.AddAll(JoinBySeq(handler, pre_tx));
+  h.pre_tx_to_rx.AddAll(JoinBySeq(pre_tx, rx));
   return h;
 }
 

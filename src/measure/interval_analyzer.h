@@ -5,6 +5,9 @@
 //
 // Matching is by sequence number, the way the PC/AT analysis programs matched the 7-bit
 // packet numbers; events without a partner (lost packets) simply contribute no sample.
+// Each point's records are stably sorted by seq (skipped when they already ascend), cut to
+// the first observation of each seq, and merge-joined, so a report costs time linear in
+// its probe events and allocates only flat vectors.
 
 #ifndef SRC_MEASURE_INTERVAL_ANALYZER_H_
 #define SRC_MEASURE_INTERVAL_ANALYZER_H_
@@ -20,8 +23,10 @@ namespace ctms {
 std::vector<SimDuration> InterOccurrence(const std::vector<ProbeEvent>& events, ProbePoint point);
 
 // For each sequence number observed at both `from` and `to`, the difference
-// time(to) - time(from). Negative differences are kept (a measurement tool can produce
-// them; the paper used exactly that to find driver bugs).
+// time(to) - time(from), in ascending seq order. The first observation of a seq at either
+// point wins: a retransmitted duplicate never replaces the original. Negative differences
+// are kept (a measurement tool can produce them; the paper used exactly that to find driver
+// bugs).
 std::vector<SimDuration> MatchedDifference(const std::vector<ProbeEvent>& events,
                                            ProbePoint from, ProbePoint to);
 
@@ -39,6 +44,8 @@ struct PaperHistograms {
   const Histogram& Numbered(int number) const;
 };
 
+// Splits `events` by probe point in one pass, then builds all seven histograms from the
+// per-point records.
 PaperHistograms BuildPaperHistograms(const std::vector<ProbeEvent>& events);
 
 }  // namespace ctms

@@ -16,6 +16,7 @@
 #ifndef SRC_MEASURE_PROBE_H_
 #define SRC_MEASURE_PROBE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -33,10 +34,16 @@ enum class ProbePoint : int {
 
 const char* ProbePointName(ProbePoint point);
 
+// Flat per-point tables index by ProbeIndex: kVcaIrq is 0, kRxClassified is 3.
+inline constexpr size_t kProbePointCount = 4;
+inline constexpr size_t ProbeIndex(ProbePoint point) { return static_cast<size_t>(point) - 1; }
+
 struct ProbeEvent {
   ProbePoint point = ProbePoint::kVcaIrq;
   uint32_t seq = 0;    // packet number (instruments may truncate it, e.g. to 7 bits)
   SimTime time = 0;    // ground-truth emission instant
+
+  bool operator==(const ProbeEvent&) const = default;
 };
 
 class ProbeBus {

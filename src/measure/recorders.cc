@@ -1,7 +1,8 @@
 #include "src/measure/recorders.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <optional>
 #include <utility>
 
 namespace ctms {
@@ -104,15 +105,18 @@ void PcAtTimestamper::RecordAt(SimTime when, bool is_marker, ProbePoint channel,
   raw_.insert(raw_.begin() + static_cast<ptrdiff_t>(index), rec);
 }
 
-std::vector<ProbeEvent> PcAtTimestamper::Decode() const {
+std::vector<ProbeEvent> PcAtTimestamper::DecodeRecords(const std::vector<RawRecord>& raw,
+                                                       const Config& config) {
   std::vector<ProbeEvent> out;
-  const int64_t modulus = int64_t{1} << config_.counter_bits;
+  out.reserve(raw.size());
+  const int64_t modulus = int64_t{1} << config.counter_bits;
+  const uint32_t seq_mask = (1u << config.seq_bits) - 1u;
   int64_t epoch = 0;
   bool have_prev = false;
   uint16_t prev_counter = 0;
-  // Per-channel last widened sequence number.
-  std::map<ProbePoint, uint32_t> last_seq;
-  for (const RawRecord& rec : raw_) {
+  // Per-channel last widened sequence number, indexed by ProbeIndex.
+  std::array<std::optional<uint32_t>, kProbePointCount> last_seq;
+  for (const RawRecord& rec : raw) {
     if (have_prev && rec.counter < prev_counter) {
       ++epoch;  // the counter rolled over; markers guarantee we never miss one
     }
@@ -121,15 +125,14 @@ std::vector<ProbeEvent> PcAtTimestamper::Decode() const {
     if (rec.is_marker) {
       continue;
     }
-    const SimTime when = (epoch * modulus + rec.counter) * config_.clock_tick;
+    const SimTime when = (epoch * modulus + rec.counter) * config.clock_tick;
+    std::optional<uint32_t>& last = last_seq[ProbeIndex(rec.channel)];
     uint32_t seq = rec.data7;
-    auto it = last_seq.find(rec.channel);
-    if (it != last_seq.end()) {
-      const uint32_t seq_mask = (1u << config_.seq_bits) - 1u;
-      const uint32_t delta = (rec.data7 - (it->second & seq_mask)) & seq_mask;
-      seq = it->second + delta;
+    if (last.has_value()) {
+      const uint32_t delta = (rec.data7 - (*last & seq_mask)) & seq_mask;
+      seq = *last + delta;
     }
-    last_seq[rec.channel] = seq;
+    last = seq;
     out.push_back(ProbeEvent{rec.channel, seq, when});
   }
   return out;

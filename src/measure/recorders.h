@@ -104,7 +104,10 @@ class PcAtTimestamper {
 
   // Offline analysis: reconstructs absolute event times (rollover recovery via markers and
   // record ordering) and widens 7-bit packet numbers to full sequence numbers.
-  std::vector<ProbeEvent> Decode() const;
+  std::vector<ProbeEvent> Decode() const { return DecodeRecords(raw_, config_); }
+  // The same analysis over any rig's records, e.g. ones read back from its disk.
+  static std::vector<ProbeEvent> DecodeRecords(const std::vector<RawRecord>& raw,
+                                               const Config& config);
 
  private:
   void OnProbe(const ProbeEvent& event);

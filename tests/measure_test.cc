@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/measure/histogram.h"
@@ -10,6 +11,7 @@
 #include "src/measure/stats.h"
 #include "src/measure/tap.h"
 #include "src/sim/simulation.h"
+#include "tests/probe_reference.h"
 
 namespace ctms {
 namespace {
@@ -323,6 +325,105 @@ TEST(IntervalAnalyzerTest, BuildPaperHistogramsFillsAllSeven) {
   EXPECT_EQ(h.pre_tx_to_rx.Summary().min, Microseconds(10740));
 }
 
+
+// --- differential: flat sort-merge analysis vs the std::map reference ---------------------
+
+const ProbePoint kAllPoints[] = {ProbePoint::kVcaIrq, ProbePoint::kVcaHandlerEntry,
+                                 ProbePoint::kPreTransmit, ProbePoint::kRxClassified};
+
+void ExpectSameHistograms(const PaperHistograms& actual, const PaperHistograms& expected) {
+  for (int n = 1; n <= 7; ++n) {
+    EXPECT_EQ(actual.Numbered(n).samples(), expected.Numbered(n).samples()) << "histogram " << n;
+  }
+}
+
+// Every ordered pair of points (a point with itself included) and all seven histograms.
+void ExpectMatchesLegacy(const std::vector<ProbeEvent>& events) {
+  for (const ProbePoint from : kAllPoints) {
+    for (const ProbePoint to : kAllPoints) {
+      EXPECT_EQ(MatchedDifference(events, from, to), legacy::MatchedDifference(events, from, to))
+          << ProbePointName(from) << " -> " << ProbePointName(to);
+    }
+  }
+  ExpectSameHistograms(BuildPaperHistograms(events), legacy::BuildPaperHistograms(events));
+}
+
+TEST(ProbeAnalysisDifferentialTest, EmptyAndSinglePointInputs) {
+  ExpectMatchesLegacy({});
+  ExpectMatchesLegacy({{ProbePoint::kPreTransmit, 7, Microseconds(100)}});
+  // One point only: inter-occurrence samples, no matched pairs.
+  ExpectMatchesLegacy({{ProbePoint::kRxClassified, 3, 10},
+                       {ProbePoint::kRxClassified, 1, 20},
+                       {ProbePoint::kRxClassified, 3, 30}});
+}
+
+TEST(ProbeAnalysisDifferentialTest, RandomStreamsMatchLegacy) {
+  Rng shapes(99);
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    ProbeStreamShape shape;
+    shape.packets = static_cast<int>(shapes.UniformInt(1, 400));
+    shape.loss = shapes.UniformDouble(0.0, 0.3);
+    shape.duplicate = shapes.UniformDouble(0.0, 0.3);
+    shape.reorder = shapes.UniformDouble(0.0, 0.5);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectMatchesLegacy(SyntheticProbeStream(seed, shape));
+  }
+}
+
+// Undecoded 7-bit numbers wrap every 128 packets, so a seq recurs: the first observation
+// of each must win at both endpoints, exactly as the map's emplace kept it.
+TEST(ProbeAnalysisDifferentialTest, WrappingSevenBitSeqsKeepFirstObservation) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    ProbeStreamShape shape;
+    shape.packets = 700;
+    shape.duplicate = 0.05;
+    shape.reorder = 0.05;
+    shape.seq_mask = 0x7F;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<ProbeEvent> events = SyntheticProbeStream(seed, shape);
+    ExpectMatchesLegacy(events);
+    // 128 distinct seqs at most, so at most 128 matched pairs.
+    EXPECT_LE(MatchedDifference(events, ProbePoint::kVcaIrq, ProbePoint::kVcaHandlerEntry).size(),
+              128u);
+  }
+}
+
+TEST(ProbeAnalysisDifferentialTest, TestCaseBSizedStreamMatchesLegacy) {
+  const std::vector<ProbeEvent> events = SyntheticProbeStream(1, TestCaseBShape());
+  EXPECT_GE(events.size(), 19'000u);
+  ExpectSameHistograms(BuildPaperHistograms(events), legacy::BuildPaperHistograms(events));
+  // ...and as the PC/AT rig records and decodes it.
+  const RecordedPcAt rig(events, 1);
+  const std::vector<ProbeEvent> decoded = rig.pcat.Decode();
+  ASSERT_EQ(decoded, legacy::Decode(rig.pcat.raw_records(), PcAtTimestamper::Config{}));
+  ExpectSameHistograms(BuildPaperHistograms(decoded), legacy::BuildPaperHistograms(decoded));
+}
+
+// Raw records straight off the rig's disk, with counter rollovers (large random steps),
+// markers, and every channel's truncated seq field (1 to 7 bits) wrapping.
+TEST(ProbeAnalysisDifferentialTest, DecodeMatchesLegacyOnRandomRawRecords) {
+  Rng rng(7);
+  for (int round = 0; round < 30; ++round) {
+    PcAtTimestamper::Config config;
+    config.counter_bits = static_cast<int>(rng.UniformInt(4, 16));
+    config.seq_bits = static_cast<int>(rng.UniformInt(1, 7));
+    const int64_t counter_mask = (int64_t{1} << config.counter_bits) - 1;
+    std::vector<PcAtTimestamper::RawRecord> raw;
+    const auto count = static_cast<size_t>(rng.UniformInt(0, 2000));
+    int64_t counter = rng.UniformInt(0, counter_mask);
+    for (size_t i = 0; i < count; ++i) {
+      counter = (counter + rng.UniformInt(0, counter_mask / 2)) & counter_mask;
+      PcAtTimestamper::RawRecord rec;
+      rec.counter = static_cast<uint16_t>(counter);
+      rec.is_marker = rng.Chance(0.1);
+      rec.channel = kAllPoints[rng.UniformInt(0, 3)];
+      rec.data7 = static_cast<uint8_t>(rng.UniformInt(0, (1 << config.seq_bits) - 1));
+      raw.push_back(rec);
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_EQ(PcAtTimestamper::DecodeRecords(raw, config), legacy::Decode(raw, config));
+  }
+}
 
 TEST(ExportTest, SamplesCsvRoundTrips) {
   Histogram hist("h");

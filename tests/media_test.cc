@@ -348,7 +348,7 @@ TEST(ClassRowsTest, ClassRowsMatchStationCounters) {
       {{"experiment=multistream", "mix=vca:4", "duration=30"},
        {{"vca", R"(^driver\.vca\.tx\d+)" + drops}}},
       {{"experiment=server", "mix=vbr:6", "duration=10"},
-       {{"vbr", R"(^driver\.media\.server)" + drops}}},
+       {{"vbr", R"(^driver\.media\.server\.movie\d+)" + drops}}},
       {{"experiment=router", "mix=vbr", "chain-hops=3", "duration=5"},
        {{"vbr", R"(^driver\.vca\.src)" + drops}}},
       // Four shards; flow f (on shard f) gets class f mod 2.

@@ -105,8 +105,9 @@ void PrintUsage() {
       "measurement and output (a flag an experiment does not honour is rejected):\n"
       "  --method=pcat|rtpc|logic|truth   instrument (default pcat)\n"
       "  --histogram=1..7      render a paper histogram as ASCII (ctms only)\n"
-      "  --bin-us=N            histogram bin width (default 500; ctms only)\n"
-      "  --ground-truth        render histograms from the perfect observer (ctms only)\n"
+      "  --bin-us=N            histogram bin width (default 500; with --histogram)\n"
+      "  --ground-truth        render or export histograms from the perfect observer\n"
+      "                        (with --histogram or --csv-prefix)\n"
       "  --csv-prefix=PATH     export all seven histograms as PATH_histN.csv (ctms), or\n"
       "                        the latency samples as PATH_latency.csv (baseline)\n"
       "  --metrics-json=FILE   write the run summary + full metrics registry as JSON\n"
@@ -119,11 +120,14 @@ void PrintUsage() {
       "  --journeys            per-packet lifecycle recording with a per-stage latency\n"
       "                        breakdown (source IRQ to delivery) in the run summary;\n"
       "                        ctms and fabric runs and their campaign cells only\n"
-      "  --flight-recorder=N   finished journeys retained for post-mortems (default 64)\n"
-      "  --journey-json=FILE   write the flight-recorder dump (ctms only); when omitted,\n"
-      "                        an anomaly (deadline miss, drop, retransmit,\n"
-      "                        reorder-evict) writes flight_recorder.json automatically\n"
-      "  --stage-histograms    per-stage log2 delta histograms in the breakdown\n");
+      "  --flight-recorder=N   finished journeys retained for post-mortems (default 64;\n"
+      "                        ctms with --journeys)\n"
+      "  --journey-json=FILE   write the flight-recorder dump (ctms with --journeys);\n"
+      "                        when omitted, an anomaly (deadline miss, drop,\n"
+      "                        retransmit, reorder-evict) writes flight_recorder.json\n"
+      "                        automatically\n"
+      "  --stage-histograms    per-stage log2 delta histograms in the breakdown (ctms\n"
+      "                        with --journeys)\n");
 }
 
 // Parses argv into one ScenarioConfig through the shared flag tables
