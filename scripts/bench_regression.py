@@ -19,6 +19,11 @@ noise — the gate exists to catch trajectory-scale regressions (a lost optimiza
 accidentally quadratic path), not single-digit-percent jitter, which the paired
 measurement inside each bench already handles. Only degradation fails; improvements
 always pass (commit the fresh file to ratchet the trajectory).
+
+An absolute timing whose bench also emits a paired in-process ratio over the same path
+(PAIRED below) is printed but not gated: a busy shared host moves every absolute number
+of a run at once, by more than any band, while the ratio of two timings taken moments
+apart in one process holds. The ratio carries the gate for that path.
 """
 
 import json
@@ -48,7 +53,29 @@ POLICY = [
 ]
 
 
+# Absolute row -> the ratio the same bench emits over the same path. Only rows with such a
+# ratio belong here; an absolute row without one stays gated. experiment_{off,on}_ms stay
+# gated: overhead_pct is on/off - 1, which holds when the whole experiment slows down.
+PAIRED = {
+    # micro_event_queue: each case's wheel throughput and its speedup over the heap.
+    "periodic_events_per_sec": "periodic_speedup",
+    "completion_events_per_sec": "completion_speedup",
+    "rto_rearm_events_per_sec": "rto_rearm_speedup",
+    # micro_packet_path: legacy and arena packet paths, and the arena's speedup.
+    "legacy_ns_per_packet": "arena_speedup_x",
+    "arena_ns_per_packet": "arena_speedup_x",
+    "legacy_packets_per_sec": "arena_speedup_x",
+    "arena_packets_per_sec": "arena_speedup_x",
+    # micro_report: each stage's time and its speedup over the std::map reference.
+    "decode_ns_per_event": "decode_speedup",
+    "histograms_ns_per_event": "histograms_speedup",
+    "report_ns_per_event": "report_speedup",
+}
+
+
 def classify(metric):
+    if metric in PAIRED:
+        return ("info", 0.0, 0.0)
     for predicate, policy in POLICY:
         if predicate(metric):
             return policy
@@ -67,8 +94,9 @@ def load(path):
     return metrics
 
 
-def compare(baseline, fresh, label=""):
-    """Returns a list of failure strings (empty = gate passes)."""
+def compare(baseline, fresh, label="", notes=None):
+    """Returns a list of failure strings (empty = gate passes). Appends one line per
+    paired absolute row to `notes`, when given."""
     failures = []
     for metric, base in sorted(baseline.items()):
         direction, tol, slack = classify(metric)
@@ -77,6 +105,9 @@ def compare(baseline, fresh, label=""):
                             f"(baseline {base:g})")
             continue
         new = fresh[metric]
+        if metric in PAIRED and notes is not None:
+            notes.append(f"{label}{metric}: {base:g} -> {new:g} "
+                         f"(not gated; {PAIRED[metric]} is)")
         if direction == "info":
             continue
         if direction == "exact":
@@ -109,10 +140,16 @@ def self_test():
         "arena_speedup_x": 2.0,
         "arena_packets_per_sec": 15000000.0,
         "legacy_ns_per_packet": 145.0,
+        "periodic_events_per_sec": 17000000.0,
+        "periodic_speedup": 2.3,
+        "shards1_sim_ms_per_sec": 1300000.0,
+        "enabled_ns_per_journey": 130.0,
         "bare_ns_per_packet": 2.1,
         "overhead_pct": 0.2,
         "overhead_budget_pct": 15.0,
         "sync_rounds": 4000.0,
+        "experiment_off_ms": 5.65,
+        "experiment_on_ms": 6.02,
     }
     cases = [
         ("identical passes", dict(base), 0),
@@ -121,10 +158,17 @@ def self_test():
         ("in-band noise passes", {**base, "arena_speedup_x": 1.7,
                                   "legacy_ns_per_packet": 180.0,
                                   "overhead_pct": 6.0}, 0),
-        ("throughput collapse fails", {**base, "arena_packets_per_sec": 7000000.0}, 1),
+        ("throughput collapse fails", {**base, "shards1_sim_ms_per_sec": 500000.0}, 1),
         ("speedup collapse fails", {**base, "arena_speedup_x": 1.0}, 1),
-        ("latency blowup fails", {**base, "legacy_ns_per_packet": 400.0}, 1),
+        ("ratio collapse under a steady absolute row fails",
+         {**base, "periodic_speedup": 1.2}, 1),
+        ("latency blowup fails", {**base, "enabled_ns_per_journey": 400.0}, 1),
+        ("host slowdown of paired absolute rows passes",
+         {**base, "arena_packets_per_sec": 7000000.0, "legacy_ns_per_packet": 400.0,
+          "periodic_events_per_sec": 5000000.0}, 0),
         ("overhead blowup fails", {**base, "overhead_pct": 14.0}, 1),
+        ("experiment slowdown under a steady overhead fails",
+         {**base, "experiment_off_ms": 11.3, "experiment_on_ms": 12.04}, 1),
         ("zero bare floor fails", {**base, "bare_ns_per_packet": 0.0}, 1),
         ("budget change fails", {**base, "overhead_budget_pct": 25.0}, 1),
         ("workload-shape counter passes", {**base, "sync_rounds": 400.0}, 0),
@@ -171,7 +215,10 @@ def main(argv):
     baseline_path, fresh_path = argv[1], argv[2]
     baseline = load(baseline_path)
     fresh = load(fresh_path)
-    failures = compare(baseline, fresh)
+    notes = []
+    failures = compare(baseline, fresh, notes=notes)
+    for note in notes:
+        print(f"  {note}")
     if failures:
         print(f"bench regression: {fresh_path} degrades the committed trajectory "
               f"{baseline_path}:")

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
 #include <type_traits>
 #include <variant>
 #include <vector>
@@ -45,7 +47,7 @@ struct ValueFlag {
   bool require_nonempty;  // reject `--flag=` when the value is mandatory
 };
 
-const ValueFlag kValueFlags[] = {
+constexpr ValueFlag kValueFlags[] = {
     {"experiment", &ScenarioConfig::experiment, true},
     {"scenario", &ScenarioConfig::scenario, true},
     {"duration", &ScenarioConfig::duration_s, false},
@@ -87,6 +89,21 @@ const ValueFlag kValueFlags[] = {
     {"flight-recorder", &ScenarioConfig::flight_recorder, false},
     {"journey-json", &ScenarioConfig::journey_json, true},
 };
+static_assert(std::size(kValueFlags) <= 64, "ScenarioConfig::given_value_flags has 64 bits");
+
+// The bit ApplyScenarioAxis sets in ScenarioConfig::given_value_flags when it applies the
+// value flag `name`. consteval, so a name missing from kValueFlags fails to compile.
+consteval uint64_t ValueFlagBit(std::string_view name) {
+  for (size_t i = 0; i < std::size(kValueFlags); ++i) {
+    if (name == kValueFlags[i].name) {
+      return uint64_t{1} << i;
+    }
+  }
+  throw "not a value flag";
+}
+
+constexpr uint64_t kBinUsGiven = ValueFlagBit("bin-us");
+constexpr uint64_t kFlightRecorderGiven = ValueFlagBit("flight-recorder");
 
 void StoreValue(ScenarioConfig* options, const ValueTarget& target, const std::string& value) {
   std::visit(
@@ -213,12 +230,11 @@ struct OutputFlagRule {
 
 const std::vector<OutputFlagRule>& OutputFlagRules() {
   using C = const ScenarioConfig&;
-  static const ScenarioConfig kDefaults;
   static const std::vector<OutputFlagRule> rules = {
       {"trace", [](C c) { return !c.trace_path.empty(); }, {"ctms"}, true},
       {"journeys", [](C c) { return c.journeys; }, {"ctms", "fabric"}, true},
       {"histogram", [](C c) { return c.histogram != 0; }, {"ctms"}, false},
-      {"bin-us", [](C c) { return c.bin_us != kDefaults.bin_us; }, {"ctms"}, false,
+      {"bin-us", [](C c) { return (c.given_value_flags & kBinUsGiven) != 0; }, {"ctms"}, false,
        "--histogram", [](C c) { return c.histogram != 0; }},
       {"ground-truth", [](C c) { return c.ground_truth_output; }, {"ctms"}, false,
        "--histogram or --csv-prefix",
@@ -229,7 +245,7 @@ const std::vector<OutputFlagRule>& OutputFlagRules() {
       {"stage-histograms", [](C c) { return c.stage_histograms; }, {"ctms"}, false,
        "--journeys", [](C c) { return c.journeys; }},
       {"flight-recorder",
-       [](C c) { return c.flight_recorder != kDefaults.flight_recorder; },
+       [](C c) { return (c.given_value_flags & kFlightRecorderGiven) != 0; },
        {"ctms"},
        false,
        "--journeys",
@@ -287,6 +303,7 @@ bool ApplyScenarioAxis(ScenarioConfig* config, const std::string& name,
       return false;
     }
     StoreValue(config, flag.target, value);
+    config->given_value_flags |= uint64_t{1} << (&flag - kValueFlags);
     return true;
   }
   for (const BoolFlag& flag : kBoolFlags) {

@@ -116,6 +116,10 @@ struct ScenarioConfig {
   std::string trace_json;
   bool print_metrics = false;
 
+  // Bit i is set once ApplyScenarioAxis has applied the i-th value flag of its table, so a
+  // flag given at its default value still counts as given.
+  uint64_t given_value_flags = 0;
+
   // --- typed views of the string spellings ---------------------------------------------
   MemoryKind MemoryKindValue() const;
   MeasurementMethod MethodValue() const;

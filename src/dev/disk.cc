@@ -5,7 +5,8 @@
 
 namespace ctms {
 
-MediaDisk::MediaDisk(Machine* machine, Config config) : machine_(machine), config_(config) {}
+MediaDisk::MediaDisk(Machine* machine, Config config)
+    : machine_(machine), config_(config), intr_kind_(machine->cpu().Kind("disk-intr")) {}
 
 bool MediaDisk::CreateFile(const std::string& name, int64_t bytes) {
   if (bytes <= 0 || files_.count(name) > 0 ||
@@ -86,7 +87,7 @@ void MediaDisk::StartNext() {
 
   machine_->sim()->After(service, [this, request = std::move(request)]() {
     // Completion interrupt: the DMA into kernel memory is done; the handler runs at splbio.
-    machine_->cpu().SubmitInterrupt("disk-intr", Spl::kBio, config_.intr_cost,
+    machine_->cpu().SubmitInterrupt(intr_kind_, Spl::kBio, config_.intr_cost,
                                     [on_complete = request.on_complete]() {
                                       if (on_complete) {
                                         on_complete(true);

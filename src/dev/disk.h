@@ -82,6 +82,7 @@ class MediaDisk {
 
   Machine* machine_;
   Config config_;
+  Cpu::JobKind* intr_kind_;
   std::map<std::string, std::pair<int64_t, int64_t>> files_;  // name -> (start, bytes)
   int64_t next_free_byte_ = 0;
 

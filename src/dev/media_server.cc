@@ -13,7 +13,8 @@ MediaServerSource::MediaServerSource(UnixKernel* kernel, MediaDisk* disk,
       driver_(driver),
       probes_(probes),
       connection_(connection),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      tick_kind_(kernel->machine()->cpu().Kind("server-tick")) {
   MetricsRegistry& metrics = kernel_->sim()->telemetry().metrics;
   const std::string prefix =
       "driver.media." + kernel_->machine()->name() + "." + config_.file + ".";
@@ -28,8 +29,9 @@ void MediaServerSource::Start(RingAddress dst) {
   Stop();
   dst_ = dst;
   if (!connection_->header_ready()) {
-    kernel_->machine()->cpu().SubmitInterrupt("server-ioctl-setup", Spl::kImp,
-                                              driver_->HeaderComputeCost(), nullptr);
+    Cpu& cpu = kernel_->machine()->cpu();
+    cpu.SubmitInterrupt(cpu.Kind("server-ioctl-setup"), Spl::kImp, driver_->HeaderComputeCost(),
+                        nullptr);
     connection_->MarkHeaderReady();
   }
   Pump();
@@ -86,7 +88,7 @@ void MediaServerSource::OnTick() {
   // Send-timer handler: build the packet and copy the staged kernel data into mbufs, then
   // hand it driver-to-driver (the paper's transfer model, with the disk as the source
   // device).
-  Cpu::Job job = kernel_->machine()->cpu().NewJob("server-tick", Spl::kImp);
+  Cpu::Job job = kernel_->machine()->cpu().NewJob(tick_kind_, Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.tick_cost, nullptr, Spl::kImp});
   kernel_->AppendCopySteps(&job.steps, config_.packet_bytes, MemoryKind::kSystemMemory,
                            MemoryKind::kSystemMemory, Spl::kImp);

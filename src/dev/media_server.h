@@ -75,6 +75,7 @@ class MediaServerSource : public MediaSource {
   ProbeBus* probes_;
   CtmspTransmitter* connection_;
   Config config_;
+  Cpu::JobKind* tick_kind_;
 
   MediaClass media_class_;  // default: unclassed (id kNone)
   RingAddress dst_ = 0;

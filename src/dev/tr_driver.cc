@@ -25,6 +25,12 @@ TokenRingDriver::TokenRingDriver(UnixKernel* kernel, TokenRingAdapter* adapter, 
   mac_interrupts_counter_ = telemetry.metrics.GetCounter(prefix + "mac_interrupts");
   retransmits_counter_ = telemetry.metrics.GetCounter(prefix + "retransmits");
   track_ = telemetry.tracer.RegisterTrack("tr." + machine);
+  Cpu& cpu = kernel_->machine()->cpu();
+  tx_start_kind_ = cpu.Kind("tr-start");
+  tx_complete_kind_ = cpu.Kind("tr-tx-complete");
+  rx_kind_ = cpu.Kind("tr-rx");
+  ipintr_kind_ = cpu.Kind("ipintr");
+  mac_kind_ = cpu.Kind("tr-mac");
   const std::string ifq_prefix = "kern." + machine + ".ifq.";
   for (IfQueue* q : {&ctmsp_q_, &snd_q_, &ipintr_q_}) {
     q->BindTelemetry(telemetry.metrics.GetCounter(ifq_prefix + q->name() + ".enqueues"),
@@ -121,7 +127,7 @@ void TokenRingDriver::StartNextTx() {
 
 void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
   const MemoryKind buffer_kind = adapter_->config().dma_buffer_kind;
-  Cpu::Job job = kernel_->machine()->cpu().NewJob("tr-start", Spl::kImp);
+  Cpu::Job job = kernel_->machine()->cpu().NewJob(tx_start_kind_, Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.tx_start_overhead, nullptr, Spl::kImp});
   if (config_.ctms_mode && config_.zero_copy_tx && is_ctmsp) {
     // Pointer passing (section 2's proposed further step): swing the adapter's transmit
@@ -189,7 +195,7 @@ void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
 }
 
 void TokenRingDriver::OnTxComplete(TxStatus status) {
-  kernel_->machine()->cpu().SubmitInterrupt("tr-tx-complete", Spl::kImp,
+  kernel_->machine()->cpu().SubmitInterrupt(tx_complete_kind_, Spl::kImp,
                                             config_.tx_complete_cost, [this, status]() {
     // The frame-status bits the handler reads at interrupt level. The stock driver cannot
     // see purge hits (MAC mode handles them separately); the degradation hook, when
@@ -212,7 +218,7 @@ void TokenRingDriver::OnRxDmaComplete(const Frame& frame) {
                                              kernel_->sim()->Now());
 
   const MemoryKind buffer_kind = adapter_->config().dma_buffer_kind;
-  Cpu::Job job = kernel_->machine()->cpu().NewJob("tr-rx", Spl::kImp);
+  Cpu::Job job = kernel_->machine()->cpu().NewJob(rx_kind_, Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.rx_entry_cost, nullptr, Spl::kImp});
 
   if (frame.protocol == ProtocolId::kCtmsp && config_.ctms_mode) {
@@ -296,7 +302,7 @@ void TokenRingDriver::DrainIpintr() {
   }
   ipintr_scheduled_ = true;
   // The softnet-style drain: one packet per pass at splnet, rescheduling while work remains.
-  kernel_->machine()->cpu().SubmitInterrupt("ipintr", Spl::kNet, Microseconds(20), [this]() {
+  kernel_->machine()->cpu().SubmitInterrupt(ipintr_kind_, Spl::kNet, Microseconds(20), [this]() {
     ipintr_scheduled_ = false;
     std::optional<Packet> packet = ipintr_q_.Dequeue();
     if (packet.has_value() && ip_input_) {
@@ -314,7 +320,7 @@ void TokenRingDriver::EnablePurgeDetect(std::function<void()> on_purge) {
   // it would cost if it could.
   adapter_->set_receive_mac_frames(true);
   adapter_->SetMacFrameHandler([this](const Frame& frame) {
-    kernel_->machine()->cpu().SubmitInterrupt("tr-mac", Spl::kImp, config_.mac_parse_cost,
+    kernel_->machine()->cpu().SubmitInterrupt(mac_kind_, Spl::kImp, config_.mac_parse_cost,
                                               [this, frame]() {
       ++mac_interrupts_;
       mac_interrupts_counter_->Increment();

@@ -199,6 +199,13 @@ class TokenRingDriver : public NetIf {
   Counter* mac_interrupts_counter_;
   Counter* retransmits_counter_;
   TrackId track_ = kInvalidTrackId;
+
+  // The driver's job kinds on its machine's CPU.
+  Cpu::JobKind* tx_start_kind_;
+  Cpu::JobKind* tx_complete_kind_;
+  Cpu::JobKind* rx_kind_;
+  Cpu::JobKind* ipintr_kind_;
+  Cpu::JobKind* mac_kind_;
 };
 
 }  // namespace ctms

@@ -12,7 +12,8 @@ VcaSourceDriver::VcaSourceDriver(UnixKernel* kernel, TokenRingDriver* tr_driver,
       tr_driver_(tr_driver),
       probes_(probes),
       connection_(connection),
-      config_(config) {
+      config_(config),
+      intr_kind_(kernel->machine()->cpu().Kind("vca-intr")) {
   MetricsRegistry& metrics = kernel_->sim()->telemetry().metrics;
   const std::string prefix = "driver.vca." + kernel_->machine()->name() + ".";
   interrupts_counter_ = metrics.GetCounter(prefix + "interrupts");
@@ -30,8 +31,9 @@ void VcaSourceDriver::Start(OutputMode mode, RingAddress dst,
   if (mode_ == OutputMode::kCtmspDirect && connection_ != nullptr &&
       !connection_->header_ready()) {
     // The setup ioctl: request the Token Ring header once and keep it as device state.
-    kernel_->machine()->cpu().SubmitInterrupt("vca-ioctl-setup", Spl::kImp,
-                                              tr_driver_->HeaderComputeCost(), nullptr);
+    Cpu& cpu = kernel_->machine()->cpu();
+    cpu.SubmitInterrupt(cpu.Kind("vca-ioctl-setup"), Spl::kImp, tr_driver_->HeaderComputeCost(),
+                        nullptr);
     connection_->MarkHeaderReady();
   }
   Simulation* sim = kernel_->sim();
@@ -140,7 +142,7 @@ void VcaSourceDriver::OnIrq() {
   // see it with no software cost).
   probes_->Emit(ProbePoint::kVcaIrq, static_cast<uint32_t>(interrupts_), now);
 
-  Cpu::Job job = kernel_->machine()->cpu().NewJob("vca-intr", Spl::kImp);
+  Cpu::Job job = kernel_->machine()->cpu().NewJob(intr_kind_, Spl::kImp);
   // Measurement point 2: entry into the interrupt handler (after dispatch), with the
   // in-line recording cost of whichever tool is attached.
   job.steps.push_back(Cpu::Step{probes_->inline_cost(),
@@ -293,7 +295,10 @@ void VcaSourceDriver::OnIrq() {
 // --- VcaSinkDriver ---------------------------------------------------------------------------
 
 VcaSinkDriver::VcaSinkDriver(UnixKernel* kernel, CtmspReceiver* connection, Config config)
-    : kernel_(kernel), connection_(connection), config_(config) {
+    : kernel_(kernel),
+      connection_(connection),
+      config_(config),
+      sink_kind_(kernel->machine()->cpu().Kind("vca-sink")) {
   MetricsRegistry& metrics = kernel_->sim()->telemetry().metrics;
   const std::string prefix = "driver.vca." + kernel_->machine()->name() + ".";
   packets_accepted_counter_ = metrics.GetCounter(prefix + "packets_accepted");
@@ -325,7 +330,7 @@ void VcaSinkDriver::OnCtmspDeliver(const Packet& packet, bool in_dma_buffer,
   ++packets_accepted_;
   packets_accepted_counter_->Increment();
 
-  Cpu::Job job = kernel_->machine()->cpu().NewJob("vca-sink", Spl::kImp);
+  Cpu::Job job = kernel_->machine()->cpu().NewJob(sink_kind_, Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.examine_cost, nullptr, Spl::kImp});
   if (config_.copy_to_device) {
     // Copy out of mbufs (or straight out of the fixed DMA buffer) into the card's memory
@@ -360,7 +365,7 @@ void VcaSinkDriver::DeliverRepaired(int64_t bytes, SimTime created_at) {
   ++packets_accepted_;
   packets_accepted_counter_->Increment();
 
-  Cpu::Job job = kernel_->machine()->cpu().NewJob("vca-sink", Spl::kImp);
+  Cpu::Job job = kernel_->machine()->cpu().NewJob(sink_kind_, Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.examine_cost, nullptr, Spl::kImp});
   if (config_.copy_to_device) {
     const SimDuration copy_cost = bytes * config_.device_copy_per_byte;

@@ -134,6 +134,7 @@ class VcaSourceDriver : public MediaSource {
   ProbeBus* probes_;
   CtmspTransmitter* connection_;
   Config config_;
+  Cpu::JobKind* intr_kind_;
 
   OutputMode mode_ = OutputMode::kCtmspDirect;
   RecoveryTx* recovery_tx_ = nullptr;
@@ -232,6 +233,7 @@ class VcaSinkDriver {
   UnixKernel* kernel_;
   CtmspReceiver* connection_;
   Config config_;
+  Cpu::JobKind* sink_kind_;
 
   std::deque<int64_t> buffer_;
   int64_t buffered_bytes_ = 0;

@@ -43,9 +43,20 @@ SimDuration Cpu::Stretched(SimDuration d) const {
   return d;
 }
 
-Cpu::Job Cpu::NewJob(std::string_view name, Spl level) {
+Cpu::JobKind* Cpu::Kind(std::string_view name) {
+  for (JobKind& kind : kinds_) {
+    if (kind.name == name) {
+      return &kind;
+    }
+  }
+  JobKind& kind = kinds_.emplace_back();
+  kind.name = name;
+  return &kind;
+}
+
+Cpu::Job Cpu::NewJob(JobKind* kind, Spl level) {
   Job job;
-  job.name = name;
+  job.kind = kind;
   job.level = level;
   job.steps = TakeSteps();
   return job;
@@ -72,11 +83,11 @@ void Cpu::SubmitProcess(Job job) {
   Enqueue(std::move(holder));
 }
 
-void Cpu::SubmitInterrupt(std::string_view name, Spl level, SimDuration duration,
+void Cpu::SubmitInterrupt(JobKind* kind, Spl level, SimDuration duration,
                           std::function<void()> action) {
   Holder holder = TakeHolder();
   Job& job = holder->job;
-  job.name.assign(name);
+  job.kind = kind;
   job.level = level;
   job.steps = TakeSteps();
   job.steps.push_back(Step{DispatchLatency(), nullptr, level});
@@ -111,7 +122,6 @@ void Cpu::Recycle(Holder holder) {
     spare_steps_.push_back(std::move(job.steps));
   }
   holder->next_step = 0;
-  holder->busy = nullptr;
   spare_holders_.push_back(std::move(holder));
 }
 
@@ -150,6 +160,7 @@ void Cpu::EndMemoryContention() {
 }
 
 void Cpu::Enqueue(Holder holder) {
+  assert(holder->job.kind != nullptr);
   jobs_submitted_counter_->Increment();
   // Insert keeping pending_ sorted by level descending, FIFO within a level.
   auto it = pending_.begin();
@@ -287,17 +298,15 @@ void Cpu::CreditSteps(size_t count) {
   const Job& job = current_->job;
   const SimDuration elapsed = segment_ends_[count - 1] - segment_start_;
   busy_time_ += elapsed;
-  if (current_->busy == nullptr) {
-    current_->busy = &busy_by_job_[job.name];
-  }
-  *current_->busy += elapsed;
+  job.kind->busy += elapsed;
+  job.kind->ran = true;
   steps_counter_->Increment(count);
   SpanTracer& tracer = sim_->telemetry().tracer;
   if (tracer.enabled()) {
     SimTime start = segment_start_;
     for (size_t i = 0; i < count; ++i) {
       tracer.AddComplete(
-          track_, job.name, start, segment_ends_[i] - start,
+          track_, job.kind->name, start, segment_ends_[i] - start,
           {{"spl", static_cast<int64_t>(SplValue(job.steps[segment_first_ + i].spl))}});
       start = segment_ends_[i];
     }
@@ -316,6 +325,16 @@ size_t Cpu::FinishedSteps() const {
 SimDuration Cpu::busy_time() const {
   const size_t finished = FinishedSteps();
   return busy_time_ + (finished > 0 ? segment_ends_[finished - 1] - segment_start_ : 0);
+}
+
+std::map<std::string, SimDuration> Cpu::busy_by_job() const {
+  std::map<std::string, SimDuration> busy;
+  for (const JobKind& kind : kinds_) {
+    if (kind.ran) {
+      busy.emplace(kind.name, kind.busy);
+    }
+  }
+  return busy;
 }
 
 double Cpu::Utilization() const {

@@ -21,6 +21,10 @@
 // boundary strictly after now; preemption points, stretched durations and busy time land
 // exactly where one event per step would put them.
 //
+// Every job has a *kind*: a handle from Kind(name) that holds the name and the busy time
+// credited to it. A name always maps to the same handle. Owners resolve their kinds once, at
+// construction, and keep them, so submitting a job copies no name and looks nothing up.
+//
 // Submitting work allocates nothing in steady state: finished jobs' holders and step vectors
 // are kept and handed to the next jobs (NewJob). See ARCHITECTURE.md, "The CPU model".
 
@@ -28,6 +32,7 @@
 #define SRC_HW_CPU_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -49,8 +54,15 @@ class Cpu {
     Spl spl = Spl::kNone;          // level while this step runs (max'ed with the job level)
   };
 
-  struct Job {
+  // One sort of job and its busy-time account, stable for the CPU's lifetime.
+  struct JobKind {
     std::string name;
+    SimDuration busy = 0;  // credited when a segment ends, like busy_by_job()
+    bool ran = false;      // credited at least once, so busy_by_job() lists it
+  };
+
+  struct Job {
+    JobKind* kind = nullptr;  // from this CPU's Kind()
     Spl level = Spl::kNone;
     std::vector<Step> steps;
     std::function<void()> on_done;
@@ -58,10 +70,14 @@ class Cpu {
 
   Cpu(Simulation* sim, std::string name);
 
+  // The kind named `name`: the same handle on every call with that name. Resolve it once and
+  // keep it; the lookup is linear in the number of kinds.
+  JobKind* Kind(std::string_view name);
+
   // An empty job whose `steps` vector reuses the capacity of a finished job's, so building
   // and submitting it allocates nothing once the CPU has warmed up. Fill it and submit it to
   // this CPU. A directly constructed Job is equally valid; it just brings its own vector.
-  Job NewJob(std::string_view name, Spl level);
+  Job NewJob(JobKind* kind, Spl level);
 
   // Submits an interrupt-context job at `job.level`. The configured dispatch latency (plus
   // jitter) is inserted as an implicit first step, so the first caller-visible action runs
@@ -78,7 +94,7 @@ class Cpu {
   void CancelAll();
 
   // Convenience: one-step interrupt job, built in a recycled job.
-  void SubmitInterrupt(std::string_view name, Spl level, SimDuration duration,
+  void SubmitInterrupt(JobKind* kind, Spl level, SimDuration duration,
                        std::function<void()> action);
 
   // --- DMA interference ---------------------------------------------------------------
@@ -95,8 +111,9 @@ class Cpu {
   // --- introspection --------------------------------------------------------------------
   // Includes the steps of the in-flight segment whose boundary has passed.
   SimDuration busy_time() const;
-  // Credited when a segment ends; the in-flight segment's finished steps are not yet here.
-  const std::map<std::string, SimDuration>& busy_by_job() const { return busy_by_job_; }
+  // Busy time by kind name, for the kinds that have run. Credited when a segment ends; the
+  // in-flight segment's finished steps are not yet here.
+  std::map<std::string, SimDuration> busy_by_job() const;
   uint64_t jobs_completed() const { return jobs_completed_; }
   // Fraction of all simulated time so far that this CPU spent busy. Callers wanting a
   // windowed figure snapshot busy_time() themselves and difference it.
@@ -107,7 +124,6 @@ class Cpu {
   struct ActiveJob {
     Job job;
     size_t next_step = 0;
-    SimDuration* busy = nullptr;  // busy_by_job_[job.name], looked up at the first credit
   };
   using Holder = std::unique_ptr<ActiveJob>;
 
@@ -167,7 +183,7 @@ class Cpu {
   double contention_stretch_ = 1.3;
 
   SimDuration busy_time_ = 0;
-  std::map<std::string, SimDuration> busy_by_job_;
+  std::deque<JobKind> kinds_;  // a deque, so handles stay valid as kinds are added
   uint64_t jobs_completed_ = 0;
 
   // Cached telemetry slots (cpu.<instance>.*) and the tracer track carrying step spans.

@@ -5,7 +5,10 @@
 namespace ctms {
 
 Machine::Machine(Simulation* sim, std::string name)
-    : sim_(sim), name_(std::move(name)), cpu_(sim, name_ + ".cpu") {}
+    : sim_(sim),
+      name_(std::move(name)),
+      cpu_(sim, name_ + ".cpu"),
+      hardclock_kind_(cpu_.Kind("hardclock")) {}
 
 SimDuration Machine::ChargeCpuCopy(int64_t bytes, MemoryKind src, MemoryKind dst) {
   copies_.RecordCpuCopy(bytes);
@@ -22,7 +25,7 @@ void Machine::StartHardclock(SimDuration handler_cost) {
     phase = (phase * 31 + c) % period;
   }
   hardclock_cancel_ = SchedulePeriodic(sim_, sim_->Now() + phase, period, [this, handler_cost]() {
-    cpu_.SubmitInterrupt("hardclock", Spl::kClock, handler_cost, nullptr);
+    cpu_.SubmitInterrupt(hardclock_kind_, Spl::kClock, handler_cost, nullptr);
   });
 }
 

@@ -44,6 +44,7 @@ class Machine {
   Simulation* sim_;
   std::string name_;
   Cpu cpu_;
+  Cpu::JobKind* hardclock_kind_;
   CopyEngine copies_;
   std::function<void()> hardclock_cancel_;
 };

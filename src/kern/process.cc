@@ -6,7 +6,10 @@ namespace ctms {
 
 RelayProcess::RelayProcess(UnixKernel* kernel, std::string name, Config config,
                            std::function<void(const Packet&)> forward)
-    : kernel_(kernel), name_(std::move(name)), config_(config), forward_(std::move(forward)) {}
+    : kernel_(kernel),
+      kind_(kernel->machine()->cpu().Kind(name)),
+      config_(config),
+      forward_(std::move(forward)) {}
 
 void RelayProcess::Deliver(const Packet& packet) {
   if (queued_bytes_ + packet.bytes > config_.rcv_buffer_bytes) {
@@ -34,7 +37,7 @@ void RelayProcess::RunIteration(bool just_woken) {
   queue_.pop_front();
   queued_bytes_ -= packet.bytes;
 
-  Cpu::Job job = kernel_->machine()->cpu().NewJob(name_, Spl::kNone);
+  Cpu::Job job = kernel_->machine()->cpu().NewJob(kind_, Spl::kNone);
   if (just_woken) {
     job.steps.push_back(Cpu::Step{config_.timings.context_switch, nullptr, Spl::kNone});
   }
@@ -57,18 +60,18 @@ void RelayProcess::RunIteration(bool just_woken) {
 }
 
 CompetingProcess::CompetingProcess(UnixKernel* kernel, std::string name, Config config)
-    : kernel_(kernel), name_(std::move(name)), config_(config) {}
+    : kernel_(kernel), kind_(kernel->machine()->cpu().Kind(name)), config_(config) {}
 
 void CompetingProcess::Start() {
   Stop();
   Simulation* sim = kernel_->sim();
   // Start phase-shifted by a name hash so multiple competitors interleave.
   SimDuration phase = 0;
-  for (const char c : name_) {
+  for (const char c : kind_->name) {
     phase = (phase * 131 + c) % config_.period;
   }
   cancel_ = SchedulePeriodic(sim, sim->Now() + phase, config_.period, [this]() {
-    Cpu::Job job = kernel_->machine()->cpu().NewJob(name_, Spl::kNone);
+    Cpu::Job job = kernel_->machine()->cpu().NewJob(kind_, Spl::kNone);
     SimDuration remaining = config_.burst;
     while (remaining > 0) {
       const SimDuration slice = remaining < config_.slice ? remaining : config_.slice;

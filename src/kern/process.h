@@ -52,7 +52,7 @@ class RelayProcess {
   void RunIteration(bool just_woken);
 
   UnixKernel* kernel_;
-  std::string name_;
+  Cpu::JobKind* kind_;  // named after the process
   Config config_;
   std::function<void(const Packet&)> forward_;
 
@@ -82,7 +82,7 @@ class CompetingProcess {
 
  private:
   UnixKernel* kernel_;
-  std::string name_;
+  Cpu::JobKind* kind_;  // named after the process
   Config config_;
   std::function<void()> cancel_;
 };

@@ -11,7 +11,10 @@ constexpr uint32_t kArpReply = 2;
 }  // namespace
 
 ArpLayer::ArpLayer(UnixKernel* kernel, NetIf* netif, Config config)
-    : kernel_(kernel), netif_(netif), config_(config) {}
+    : kernel_(kernel),
+      netif_(netif),
+      config_(config),
+      input_kind_(kernel->machine()->cpu().Kind("arp-input")) {}
 
 void ArpLayer::Resolve(RingAddress dst, std::function<void(bool)> on_done) {
   if (cache_.count(dst) > 0) {
@@ -62,7 +65,7 @@ void ArpLayer::OnRetryTimer(RingAddress dst) {
 
 void ArpLayer::Input(const Packet& packet) {
   // Charge protocol processing at splnet, then act.
-  kernel_->machine()->cpu().SubmitInterrupt("arp-input", Spl::kNet, config_.process_cost,
+  kernel_->machine()->cpu().SubmitInterrupt(input_kind_, Spl::kNet, config_.process_cost,
                                             [this, packet]() {
     if (packet.seq == kArpRequest) {
       // Learn the requester opportunistically (as real ARP does), and reply if we are the

@@ -59,6 +59,7 @@ class ArpLayer {
   UnixKernel* kernel_;
   NetIf* netif_;
   Config config_;
+  Cpu::JobKind* input_kind_;
   std::map<RingAddress, bool> cache_;
   std::map<RingAddress, PendingEntry> pending_;
   uint64_t requests_sent_ = 0;

@@ -52,6 +52,8 @@ class IpLayer {
   NetIf* netif_;
   ArpLayer* arp_;
   Config config_;
+  Cpu::JobKind* output_kind_;
+  Cpu::JobKind* input_kind_;
   std::map<uint8_t, Handler> handlers_;
   uint64_t packets_out_ = 0;
   uint64_t packets_in_ = 0;

@@ -23,7 +23,12 @@ TcpLiteEndpoint* TcpLite::CreateEndpoint(TcpLiteEndpoint::Config config) {
 }
 
 TcpLiteEndpoint::TcpLiteEndpoint(UnixKernel* kernel, IpLayer* ip, Config config)
-    : kernel_(kernel), ip_(ip), config_(config) {}
+    : kernel_(kernel),
+      ip_(ip),
+      config_(config),
+      output_kind_(kernel->machine()->cpu().Kind("tcp-output")),
+      input_kind_(kernel->machine()->cpu().Kind("tcp-input")),
+      ack_kind_(kernel->machine()->cpu().Kind("tcp-ack")) {}
 
 bool TcpLiteEndpoint::Send(int64_t bytes) {
   if (failed_) {
@@ -56,7 +61,7 @@ void TcpLiteEndpoint::TransmitSegment(uint32_t seq, int64_t bytes, bool retransm
     ++segments_sent_;
   }
   kernel_->machine()->cpu().SubmitInterrupt(
-      "tcp-output", Spl::kNet, config_.segment_cost, [this, seq, bytes]() {
+      output_kind_, Spl::kNet, config_.segment_cost, [this, seq, bytes]() {
         Packet segment;
         segment.ip_proto = kIpProtoTcp;
         segment.bytes = bytes;
@@ -93,7 +98,7 @@ void TcpLiteEndpoint::OnTimeout() {
 }
 
 void TcpLiteEndpoint::Input(const Packet& packet) {
-  kernel_->machine()->cpu().SubmitInterrupt("tcp-input", Spl::kNet, config_.input_cost,
+  kernel_->machine()->cpu().SubmitInterrupt(input_kind_, Spl::kNet, config_.input_cost,
                                             [this, packet]() {
     if (packet.is_ack) {
       HandleAck(packet.ack_seq);
@@ -165,7 +170,7 @@ void TcpLiteEndpoint::HandleData(const Packet& packet) {
 
 void TcpLiteEndpoint::SendAck() {
   ++acks_sent_;
-  kernel_->machine()->cpu().SubmitInterrupt("tcp-ack", Spl::kNet, config_.ack_cost, [this]() {
+  kernel_->machine()->cpu().SubmitInterrupt(ack_kind_, Spl::kNet, config_.ack_cost, [this]() {
     Packet ack;
     ack.ip_proto = kIpProtoTcp;
     ack.bytes = config_.ack_bytes;

@@ -74,6 +74,9 @@ class TcpLiteEndpoint {
   UnixKernel* kernel_;
   IpLayer* ip_;
   Config config_;
+  Cpu::JobKind* output_kind_;
+  Cpu::JobKind* input_kind_;
+  Cpu::JobKind* ack_kind_;
   std::function<void(const Packet&)> deliver_;
 
   // Sender state.

@@ -38,6 +38,8 @@ class UdpLayer {
   UnixKernel* kernel_;
   IpLayer* ip_;
   Config config_;
+  Cpu::JobKind* output_kind_;
+  Cpu::JobKind* input_kind_;
   std::map<uint16_t, Handler> sockets_;
   uint64_t datagrams_out_ = 0;
   uint64_t datagrams_in_ = 0;

@@ -6,13 +6,17 @@ namespace ctms {
 
 ControlServiceProcess::ControlServiceProcess(UnixKernel* kernel, UdpLayer* udp, Rng rng,
                                              Config config)
-    : kernel_(kernel), udp_(udp), rng_(std::move(rng)), config_(config) {
+    : kernel_(kernel),
+      udp_(udp),
+      rng_(std::move(rng)),
+      config_(config),
+      kind_(kernel->machine()->cpu().Kind("control-service")) {
   udp_->Bind(config_.port, [this](const Packet& request) { OnRequest(request); });
 }
 
 void ControlServiceProcess::OnRequest(const Packet& request) {
   ++requests_;
-  Cpu::Job job = kernel_->machine()->cpu().NewJob("control-service", Spl::kNone);
+  Cpu::Job job = kernel_->machine()->cpu().NewJob(kind_, Spl::kNone);
   job.steps.push_back(Cpu::Step{config_.context_switch, nullptr, Spl::kNone});
   job.steps.push_back(Cpu::Step{config_.process_cost, nullptr, Spl::kNone});
   job.on_done = [this, peer = request.src]() {
@@ -28,7 +32,11 @@ void ControlServiceProcess::OnRequest(const Packet& request) {
 }
 
 AfsClientDaemon::AfsClientDaemon(UnixKernel* kernel, UdpLayer* udp, Rng rng, Config config)
-    : kernel_(kernel), udp_(udp), rng_(std::move(rng)), config_(config) {}
+    : kernel_(kernel),
+      udp_(udp),
+      rng_(std::move(rng)),
+      config_(config),
+      kind_(kernel->machine()->cpu().Kind("afs-keepalive")) {}
 
 AfsClientDaemon::~AfsClientDaemon() { Stop(); }
 
@@ -53,7 +61,7 @@ void AfsClientDaemon::ScheduleNext() {
   const SimDuration wait = rng_.ExponentialDuration(config_.mean_interval);
   next_event_ = kernel_->sim()->After(wait, [this]() {
     next_event_ = kInvalidEventId;
-    Cpu::Job job = kernel_->machine()->cpu().NewJob("afs-keepalive", Spl::kNone);
+    Cpu::Job job = kernel_->machine()->cpu().NewJob(kind_, Spl::kNone);
     job.steps.push_back(Cpu::Step{config_.process_cost, nullptr, Spl::kNone});
     job.on_done = [this]() {
       ++keepalives_sent_;

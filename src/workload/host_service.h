@@ -44,6 +44,7 @@ class ControlServiceProcess {
   UdpLayer* udp_;
   Rng rng_;
   Config config_;
+  Cpu::JobKind* kind_;
   uint64_t requests_ = 0;
   uint64_t replies_ = 0;
 };
@@ -74,6 +75,7 @@ class AfsClientDaemon {
   UdpLayer* udp_;
   Rng rng_;
   Config config_;
+  Cpu::JobKind* kind_;
   EventId next_event_ = kInvalidEventId;
   bool running_ = false;
   uint64_t keepalives_sent_ = 0;

@@ -5,7 +5,13 @@
 namespace ctms {
 
 KernelBackgroundActivity::KernelBackgroundActivity(Machine* machine, Rng rng, Config config)
-    : machine_(machine), rng_(std::move(rng)), config_(config) {}
+    : machine_(machine),
+      rng_(std::move(rng)),
+      config_(config),
+      softclock_kind_(machine->cpu().Kind("softclock")),
+      short_kind_(machine->cpu().Kind("kern-protected-short")),
+      long_kind_(machine->cpu().Kind("kern-protected-long")),
+      stall_kind_(machine->cpu().Kind("analysis-stall")) {}
 
 KernelBackgroundActivity::~KernelBackgroundActivity() { Stop(); }
 
@@ -16,7 +22,7 @@ void KernelBackgroundActivity::Start() {
   const SimDuration phase = rng_.UniformDuration(0, config_.softclock_period);
   softclock_cancel_ =
       SchedulePeriodic(sim, sim->Now() + phase, config_.softclock_period, [this]() {
-        machine_->cpu().SubmitInterrupt("softclock", Spl::kSoftClock, config_.softclock_cost,
+        machine_->cpu().SubmitInterrupt(softclock_kind_, Spl::kSoftClock, config_.softclock_cost,
                                         nullptr);
       });
   ScheduleNextShortSection();
@@ -53,7 +59,7 @@ void KernelBackgroundActivity::ScheduleNextShortSection() {
     short_event_ = kInvalidEventId;
     const SimDuration length = rng_.UniformDuration(config_.short_min, config_.short_max);
     ++sections_run_;
-    machine_->cpu().SubmitInterrupt("kern-protected-short", config_.section_level, length,
+    machine_->cpu().SubmitInterrupt(short_kind_, config_.section_level, length,
                                     nullptr);
     ScheduleNextShortSection();
   });
@@ -68,7 +74,7 @@ void KernelBackgroundActivity::ScheduleNextLongSection() {
     long_event_ = kInvalidEventId;
     const SimDuration length = rng_.UniformDuration(config_.long_min, config_.long_max);
     ++sections_run_;
-    machine_->cpu().SubmitInterrupt("kern-protected-long", config_.section_level, length,
+    machine_->cpu().SubmitInterrupt(long_kind_, config_.section_level, length,
                                     nullptr);
     ScheduleNextLongSection();
   });
@@ -83,7 +89,7 @@ void KernelBackgroundActivity::ScheduleNextStall() {
     stall_event_ = kInvalidEventId;
     const SimDuration length = rng_.UniformDuration(config_.stall_min, config_.stall_max);
     ++sections_run_;
-    machine_->cpu().SubmitInterrupt("analysis-stall", config_.section_level, length, nullptr);
+    machine_->cpu().SubmitInterrupt(stall_kind_, config_.section_level, length, nullptr);
     ScheduleNextStall();
   });
 }

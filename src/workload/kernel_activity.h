@@ -64,6 +64,10 @@ class KernelBackgroundActivity {
   Machine* machine_;
   Rng rng_;
   Config config_;
+  Cpu::JobKind* softclock_kind_;
+  Cpu::JobKind* short_kind_;
+  Cpu::JobKind* long_kind_;
+  Cpu::JobKind* stall_kind_;
   std::function<void()> softclock_cancel_;
   EventId short_event_ = kInvalidEventId;
   EventId long_event_ = kInvalidEventId;

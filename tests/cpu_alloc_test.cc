@@ -3,16 +3,19 @@
 // one, so it is its own executable; the sanitizer builds of ctms_tests keep their allocator.
 //
 // The measured loop mixes what the network stack does per packet: one-step interrupts
-// (names of at most 15 characters, captures of at most 16 bytes, both stored inline), NewJob
-// jobs with chunked copy steps, interrupts that preempt a copy mid-segment, and on_done
-// chains that submit the next job.
+// (captures of at most 16 bytes, stored inline), NewJob jobs with chunked copy steps,
+// interrupts that preempt a copy mid-segment, and on_done chains that submit the next job.
+// Every job carries a kind resolved once, when the rig is built; a name too long for a
+// string's inline buffer costs nothing per job either, because no job copies its name.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <string>
 
 #include "src/hw/cpu.h"
 #include "src/hw/machine.h"
@@ -52,7 +55,13 @@ class Rig {
       : sim_(1),
         machine_(&sim_, "m"),
         kernel_(&machine_),
-        preemptions_(sim_.telemetry().metrics.GetCounter("cpu.m.preemptions")) {
+        preemptions_(sim_.telemetry().metrics.GetCounter("cpu.m.preemptions")),
+        relay_kind_(cpu().Kind("relay")),
+        relay_tail_kind_(cpu().Kind("relay-tail")),
+        softnet_kind_(cpu().Kind("softnet")),
+        // Two names longer than 15 characters, one per way of building a job.
+        handler_kind_(cpu().Kind("tr-tx-complete-handler")),
+        rx_kind_(cpu().Kind("tr-rx-copy-to-mbufs")) {
     cpu().set_dispatch_jitter(0);
   }
 
@@ -80,7 +89,7 @@ class Rig {
   // A relay-style process copying a packet at base level in two chunks: one action-free
   // segment that the first arrival cuts at the chunk boundary.
   void Relay() {
-    Cpu::Job job = cpu().NewJob("relay", Spl::kNone);
+    Cpu::Job job = cpu().NewJob(relay_kind_, Spl::kNone);
     job.steps.push_back(Cpu::Step{Microseconds(20), nullptr, Spl::kNone});
     kernel_.AppendCopySteps(&job.steps, 700, MemoryKind::kSystemMemory,
                             MemoryKind::kSystemMemory, Spl::kNone);
@@ -88,10 +97,10 @@ class Rig {
       ++relayed_;
       // An on_done chain: the finished job submits the next one, whose on_done raises an
       // interrupt in turn.
-      Cpu::Job next = cpu().NewJob("relay-tail", Spl::kNone);
+      Cpu::Job next = cpu().NewJob(relay_tail_kind_, Spl::kNone);
       next.steps.push_back(Cpu::Step{Microseconds(15), nullptr, Spl::kNone});
       next.on_done = [this]() {
-        cpu().SubmitInterrupt("softnet", Spl::kNet, Microseconds(10),
+        cpu().SubmitInterrupt(softnet_kind_, Spl::kNet, Microseconds(10),
                               [this]() { ++chained_; });
       };
       cpu().SubmitProcess(std::move(next));
@@ -101,12 +110,12 @@ class Rig {
 
   void Handler(int k) {
     const int32_t weight = k + 1;
-    cpu().SubmitInterrupt("tr-tx-complete", Spl::kImp, Microseconds(25),
+    cpu().SubmitInterrupt(handler_kind_, Spl::kImp, Microseconds(25),
                           [this, weight]() { handled_ += weight; });
   }
 
   void ReceiveJob() {
-    Cpu::Job job = cpu().NewJob("tr-rx", Spl::kImp);
+    Cpu::Job job = cpu().NewJob(rx_kind_, Spl::kImp);
     job.steps.push_back(Cpu::Step{Microseconds(30), nullptr, Spl::kImp});
     kernel_.AppendCopySteps(&job.steps, 600, MemoryKind::kSystemMemory,
                             MemoryKind::kSystemMemory, Spl::kImp, [this]() { ++copied_; });
@@ -117,6 +126,11 @@ class Rig {
   Machine machine_;
   UnixKernel kernel_;
   Counter* preemptions_;
+  Cpu::JobKind* relay_kind_;
+  Cpu::JobKind* relay_tail_kind_;
+  Cpu::JobKind* softnet_kind_;
+  Cpu::JobKind* handler_kind_;
+  Cpu::JobKind* rx_kind_;
   int handled_ = 0;
   int relayed_ = 0;
   int chained_ = 0;
@@ -125,8 +139,8 @@ class Rig {
 
 TEST(CpuAllocTest, SteadyStateJobPathAllocatesNothing) {
   Rig rig;
-  // Warm-up: the spare holders and step vectors, the busy map's names and the event queue's
-  // slab grow to their working size here.
+  // Warm-up: the spare holders and step vectors and the event queue's slab grow to their
+  // working size here.
   rig.Run(50);
   const uint64_t preemptions_before = rig.preemptions();
   const size_t before = g_allocations;
@@ -139,6 +153,9 @@ TEST(CpuAllocTest, SteadyStateJobPathAllocatesNothing) {
   EXPECT_EQ(rig.chained(), 250);
   EXPECT_EQ(rig.copied(), 250);
   EXPECT_EQ(rig.handled(), 250 * (1 + 2 + 3));
+  const std::map<std::string, SimDuration> busy = rig.cpu().busy_by_job();
+  EXPECT_GT(busy.at("tr-tx-complete-handler"), 0);
+  EXPECT_GT(busy.at("tr-rx-copy-to-mbufs"), 0);
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ Scenario MakeScenario(uint64_t seed) {
 }
 
 Cpu::Job NewJob(Cpu& cpu, const std::string& name, Spl level) {
-  return cpu.NewJob(name, level);
+  return cpu.NewJob(cpu.Kind(name), level);
 }
 
 PerStepCpu::Job NewJob(PerStepCpu& /*cpu*/, const std::string& name, Spl level) {

@@ -195,9 +195,10 @@ TEST_F(DevFixture, SystemMemoryDmaStretchesConcurrentCpuWork) {
   tx_driver_->OutputCtmsp(packet);
   // The driver copy ends ~2510 us in (start 60 + copy 1600 at 0.8 us/B + probe/cmd); the
   // adapter tx DMA then runs for 3200 us. Fire a 100 us interrupt squarely inside it.
+  Cpu::JobKind* probe_work = tx_machine_.cpu().Kind("probe-work");
   SimTime sysmem_done = -1;
   sim_.After(Milliseconds(3), [&]() {
-    tx_machine_.cpu().SubmitInterrupt("probe-work", Spl::kClock, Microseconds(100),
+    tx_machine_.cpu().SubmitInterrupt(probe_work, Spl::kClock, Microseconds(100),
                                       [&]() { sysmem_done = sim_.Now(); });
   });
   sim_.RunUntil(Milliseconds(20));
@@ -211,7 +212,7 @@ TEST_F(DevFixture, SystemMemoryDmaStretchesConcurrentCpuWork) {
   SimTime iocm_done = -1;
   const SimTime start = sim_.Now();
   sim_.After(Milliseconds(4), [&]() {
-    tx_machine_.cpu().SubmitInterrupt("probe-work", Spl::kClock, Microseconds(100),
+    tx_machine_.cpu().SubmitInterrupt(probe_work, Spl::kClock, Microseconds(100),
                                       [&]() { iocm_done = sim_.Now(); });
   });
   sim_.RunUntil(start + Milliseconds(20));

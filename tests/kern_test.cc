@@ -289,7 +289,7 @@ TEST_F(KernelFixture, CopyStepsTotalIsExact) {
 
 TEST_F(KernelFixture, CopyStepsOnDoneRunsOnce) {
   int done = 0;
-  Cpu::Job job = machine_.cpu().NewJob("copy", Spl::kNet);
+  Cpu::Job job = machine_.cpu().NewJob(machine_.cpu().Kind("copy"), Spl::kNet);
   kernel_.AppendCopySteps(&job.steps, 1000, MemoryKind::kSystemMemory,
                           MemoryKind::kSystemMemory, Spl::kNet, [&]() { ++done; });
   machine_.cpu().SubmitInterrupt(std::move(job));
@@ -299,7 +299,7 @@ TEST_F(KernelFixture, CopyStepsOnDoneRunsOnce) {
 
 TEST_F(KernelFixture, ZeroByteCopyStillRunsOnDone) {
   bool done = false;
-  Cpu::Job job = machine_.cpu().NewJob("copy0", Spl::kNone);
+  Cpu::Job job = machine_.cpu().NewJob(machine_.cpu().Kind("copy0"), Spl::kNone);
   kernel_.AppendCopySteps(&job.steps, 0, MemoryKind::kSystemMemory, MemoryKind::kSystemMemory,
                           Spl::kNone, [&]() { done = true; });
   ASSERT_EQ(job.steps.size(), 1u);

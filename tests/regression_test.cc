@@ -98,7 +98,7 @@ TEST(StormTest, IpintrqDropsUnderReceiveStorm) {
   uint64_t handled = 0;
   driver.SetIpInput([&](const Packet&) {
     // Pathologically slow protocol processing.
-    machine.cpu().SubmitInterrupt("slow-proto", Spl::kNet, Milliseconds(5),
+    machine.cpu().SubmitInterrupt(machine.cpu().Kind("slow-proto"), Spl::kNet, Milliseconds(5),
                                   [&handled]() { ++handled; });
   });
   GhostTraffic::Config storm;

@@ -57,10 +57,11 @@ TEST(KernelActivityTest, LongSectionsDelayInterruptDispatch) {
   activity.Start();
   // Sample dispatch latency of a kImp interrupt issued repeatedly.
   SimDuration worst = 0;
+  Cpu::JobKind* probe = machine.cpu().Kind("probe");
   for (int i = 0; i < 200; ++i) {
-    sim.After(i * Milliseconds(5), [&sim, &machine, &worst]() {
+    sim.After(i * Milliseconds(5), [&sim, &machine, &worst, probe]() {
       const SimTime submitted = sim.Now();
-      machine.cpu().SubmitInterrupt("probe", Spl::kImp, 0, [&sim, &worst, submitted]() {
+      machine.cpu().SubmitInterrupt(probe, Spl::kImp, 0, [&sim, &worst, submitted]() {
         worst = std::max(worst, sim.Now() - submitted);
       });
     });
