@@ -70,24 +70,28 @@ void QualityController::Epoch() {
     state.last_underruns = underruns;
     state.last_lost = lost;
   }
-  // Rank real-time classes by pressure (hint, then registration order, break ties — a
-  // stable sort over the registration-ordered vector keeps this deterministic).
-  std::vector<ClassState*> realtime;
+  // Rank real-time classes by pressure, then hint, then registration order (ties keep the
+  // registration-ordered vector's order, which keeps this deterministic). The vector is
+  // kept between epochs and the sort needs no buffer, so an epoch allocates nothing.
+  realtime_.clear();
   for (ClassState& state : classes_) {
     if (state.media_class.elastic) {
       Apply(&state, config_.elastic_priority);
     } else {
-      realtime.push_back(&state);
+      realtime_.push_back(&state);
     }
   }
-  std::stable_sort(realtime.begin(), realtime.end(), [](ClassState* a, ClassState* b) {
+  std::sort(realtime_.begin(), realtime_.end(), [](ClassState* a, ClassState* b) {
     if (a->pressure != b->pressure) {
       return a->pressure > b->pressure;
     }
-    return a->media_class.priority_hint > b->media_class.priority_hint;
+    if (a->media_class.priority_hint != b->media_class.priority_hint) {
+      return a->media_class.priority_hint > b->media_class.priority_hint;
+    }
+    return a < b;  // classes_ is in registration order
   });
   int priority = config_.top_priority;
-  for (ClassState* state : realtime) {
+  for (ClassState* state : realtime_) {
     Apply(state, priority);
     priority = std::max(config_.floor_priority, priority - 1);
   }

@@ -79,6 +79,7 @@ class QualityController {
   Simulation* sim_;
   QualityControllerConfig config_;
   std::vector<ClassState> classes_;  // registration order — part of the determinism contract
+  std::vector<ClassState*> realtime_;  // the non-elastic classes, ranked by the last epoch
   std::function<void()> cancel_;
 
   uint64_t epochs_ = 0;

@@ -122,10 +122,11 @@ void TokenRingDriver::StartNextTx() {
     return;
   }
   tx_in_progress_ = true;
-  TransmitPacket(std::move(*next), is_ctmsp);
+  tx_packet_ = std::move(*next);
+  TransmitPacket(is_ctmsp);
 }
 
-void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
+void TokenRingDriver::TransmitPacket(bool is_ctmsp) {
   const MemoryKind buffer_kind = adapter_->config().dma_buffer_kind;
   Cpu::Job job = kernel_->machine()->cpu().NewJob(tx_start_kind_, Spl::kImp);
   job.steps.push_back(Cpu::Step{config_.tx_start_overhead, nullptr, Spl::kImp});
@@ -136,13 +137,13 @@ void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
   } else {
     // Copy the mbuf chain into the fixed transmit DMA buffer. The chain reference held by
     // the job is dropped when the job completes — the data lives in the buffer from here on.
-    kernel_->AppendCopySteps(&job.steps, packet.bytes, MemoryKind::kSystemMemory, buffer_kind,
-                             Spl::kImp);
+    kernel_->AppendCopySteps(&job.steps, tx_packet_.bytes, MemoryKind::kSystemMemory,
+                             buffer_kind, Spl::kImp);
   }
   // Measurement point 3: after the copy, immediately before the transmit command. The
   // in-line recording code (a port write, a procedure call) costs real time here.
   if (is_ctmsp) {
-    const uint32_t seq = packet.seq;
+    const uint32_t seq = tx_packet_.seq;
     job.steps.push_back(Cpu::Step{probes_->inline_cost(),
                                   [this, seq]() {
                                     probes_->Emit(ProbePoint::kPreTransmit, seq,
@@ -154,7 +155,9 @@ void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
       is_ctmsp && config_.ctms_mode ? config_.ctmsp_ring_priority : 0;
   job.steps.push_back(Cpu::Step{
       config_.tx_command_cost,
-      [this, packet, is_ctmsp, priority]() {
+      [this, is_ctmsp, priority]() {
+        // Moved out, so the driver holds no payload reference once the transmit command ran.
+        const Packet packet = std::move(tx_packet_);
         kernel_->sim()->telemetry().journeys.Stamp(packet.journey,
                                                    JourneyStage::kDriverTxStart,
                                                    kernel_->sim()->Now());

@@ -152,7 +152,8 @@ class TokenRingDriver : public NetIf {
 
  private:
   void StartNextTx();
-  void TransmitPacket(Packet packet, bool is_ctmsp);
+  // Builds and submits the transmit job for tx_packet_.
+  void TransmitPacket(bool is_ctmsp);
   void OnTxComplete(TxStatus status);
   void OnRxDmaComplete(const Frame& frame);
   void DrainIpintr();
@@ -167,6 +168,9 @@ class TokenRingDriver : public NetIf {
   IfQueue ipintr_q_;
   bool ipintr_scheduled_ = false;
   bool tx_in_progress_ = false;
+  // The one packet in transmission (tx_in_progress_), from its dequeue until its transmit
+  // command takes it.
+  Packet tx_packet_;
   SimTime tx_frozen_until_ = 0;
   bool freeze_resume_scheduled_ = false;
   // The packet currently at the adapter, remembered for the degradation hook.

@@ -18,7 +18,6 @@
 #define SRC_DEV_VCA_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 
@@ -30,6 +29,7 @@
 #include "src/measure/probe.h"
 #include "src/proto/ctmsp.h"
 #include "src/proto/recovery.h"
+#include "src/sim/fifo.h"
 
 namespace ctms {
 
@@ -235,7 +235,7 @@ class VcaSinkDriver {
   Config config_;
   Cpu::JobKind* sink_kind_;
 
-  std::deque<int64_t> buffer_;
+  Fifo<int64_t> buffer_;
   int64_t buffered_bytes_ = 0;
   int64_t peak_buffered_bytes_ = 0;
   bool playout_started_ = false;

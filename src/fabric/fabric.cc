@@ -160,24 +160,21 @@ void FabricExperiment::DeliverOutboxes() {
   // Runs single-threaded between sync rounds, in fixed (shard, capture) order — the only
   // place payload handles cross a shard boundary. Consecutive entries bound for the same
   // shard at the same arrival instant (a packet train crossing one bridge) are batched
-  // into a single event: same delivery order, one queue insertion per train.
-  struct Delivery {
-    TokenRingDriver* driver;
-    Packet packet;
-  };
-  Simulation* batch_sim = nullptr;
+  // into a single event: same delivery order, one queue insertion per train. The train
+  // is gathered in a reusable batch of the target shard.
+  size_t batch_shard = 0;
   SimTime batch_arrival = 0;
-  std::vector<Delivery> batch;
+  std::vector<Delivery>* batch = nullptr;
+  uint32_t batch_slot = 0;
   const auto flush = [&]() {
-    if (batch.empty()) {
+    if (batch == nullptr) {
       return;
     }
-    batch_sim->At(batch_arrival, [deliveries = std::move(batch)]() {
-      for (const Delivery& d : deliveries) {
-        d.driver->OutputCtmsp(d.packet);
-      }
+    shards_[batch_shard].topo->sim().At(batch_arrival, [this, shard = batch_shard,
+                                                        slot = batch_slot]() {
+      DeliverBatch(shard, slot);
     });
-    batch.clear();
+    batch = nullptr;
   };
   for (size_t s = 0; s < shards_.size(); ++s) {
     for (OutboxEntry& entry : shards_[s].outbox) {
@@ -210,17 +207,34 @@ void FabricExperiment::DeliverOutboxes() {
             std::move(*entry.journey), entry.arrival);
       }
       TokenRingDriver* driver = &BridgeFor(to, entry.link)->driver(0);
-      Simulation* sim = &target.topo->sim();
-      if (sim != batch_sim || entry.arrival != batch_arrival) {
+      if (batch == nullptr || static_cast<size_t>(to) != batch_shard ||
+          entry.arrival != batch_arrival) {
         flush();
-        batch_sim = sim;
+        batch_shard = static_cast<size_t>(to);
         batch_arrival = entry.arrival;
+        if (target.free_batches.empty()) {
+          target.free_batches.push_back(static_cast<uint32_t>(target.batches.size()));
+          target.batches.emplace_back();
+        }
+        batch_slot = target.free_batches.back();
+        target.free_batches.pop_back();
+        batch = &target.batches[batch_slot];
       }
-      batch.push_back(Delivery{driver, std::move(packet)});
+      batch->push_back(Delivery{driver, std::move(packet)});
     }
     shards_[s].outbox.clear();
   }
   flush();
+}
+
+void FabricExperiment::DeliverBatch(size_t shard, uint32_t slot) {
+  Shard& s = shards_[shard];
+  std::vector<Delivery>& batch = s.batches[slot];
+  for (const Delivery& d : batch) {
+    d.driver->OutputCtmsp(d.packet);
+  }
+  batch.clear();
+  s.free_batches.push_back(slot);
 }
 
 FabricReport FabricExperiment::Run() {

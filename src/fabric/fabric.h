@@ -150,6 +150,12 @@ class FabricExperiment {
     std::optional<JourneyRecord> journey;
   };
 
+  // One bridged packet, bound for the driver of a bridge (or the sink's) on the target shard.
+  struct Delivery {
+    TokenRingDriver* driver;
+    Packet packet;
+  };
+
   struct Shard {
     std::unique_ptr<RingTopology> topo;
     Station* src = nullptr;
@@ -158,6 +164,11 @@ class FabricExperiment {
     std::vector<Station*> bridges;    // parallel to `links`
     std::vector<std::unique_ptr<CtmspTap>> taps;  // parallel to `links`
     std::vector<OutboxEntry> outbox;  // written only by this shard's window thread
+    // Batches of deliveries scheduled on this shard, reused once delivered: an event
+    // carries only a batch index. Filled between sync rounds, emptied by this shard's
+    // events (on its window thread), so no two threads touch them at once.
+    std::vector<std::vector<Delivery>> batches;
+    std::vector<uint32_t> free_batches;
   };
 
   // Directed-hop row index in hop_forwarded_ / the report: 2*link + (from == link.b).
@@ -165,6 +176,8 @@ class FabricExperiment {
   Station* BridgeFor(int shard, int link) const;
   void OnCapture(int shard, int link, const Packet& packet);
   void DeliverOutboxes();
+  // Runs and empties batch `slot` of shard `shard`, then frees the slot.
+  void DeliverBatch(size_t shard, uint32_t slot);
 
   FabricConfig config_;
   std::vector<FabricLinkSpec> links_;

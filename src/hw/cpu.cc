@@ -24,16 +24,16 @@ Cpu::Cpu(Simulation* sim, std::string name) : sim_(sim), name_(std::move(name)) 
   track_ = telemetry.tracer.RegisterTrack("cpu." + instance);
 }
 
-Spl Cpu::StepLevel(const Job& job, size_t step) const {
-  const Spl step_spl = job.steps[step].spl;
-  return SplValue(step_spl) > SplValue(job.level) ? step_spl : job.level;
+Spl Cpu::StepLevel(const ActiveJob& active, size_t step) const {
+  const Spl step_spl = active.step(step).spl;
+  return SplValue(step_spl) > SplValue(active.job.level) ? step_spl : active.job.level;
 }
 
 Spl Cpu::EffectiveLevel(const ActiveJob& active) const {
-  if (active.next_step >= active.job.steps.size()) {
+  if (active.next_step >= active.step_count()) {
     return active.job.level;
   }
-  return StepLevel(active.job, active.next_step);
+  return StepLevel(active, active.next_step);
 }
 
 SimDuration Cpu::Stretched(SimDuration d) const {
@@ -69,31 +69,26 @@ SimDuration Cpu::DispatchLatency() {
          (dispatch_jitter_ > 0 ? sim_->rng().UniformDuration(0, dispatch_jitter_) : 0);
 }
 
-void Cpu::SubmitInterrupt(Job job) {
-  job.steps.insert(job.steps.begin(), Step{DispatchLatency(), nullptr, job.level});
-  interrupts_counter_->Increment();
+Cpu::Holder Cpu::Hold(Job job, bool interrupt) {
   Holder holder = TakeHolder();
   holder->job = std::move(job);
-  Enqueue(std::move(holder));
+  if (interrupt) {
+    holder->lead = 1;
+    holder->dispatch.duration = DispatchLatency();
+    holder->dispatch.spl = holder->job.level;
+    interrupts_counter_->Increment();
+  }
+  return holder;
 }
 
-void Cpu::SubmitProcess(Job job) {
-  Holder holder = TakeHolder();
-  holder->job = std::move(job);
-  Enqueue(std::move(holder));
-}
+void Cpu::SubmitInterrupt(Job job) { Enqueue(Hold(std::move(job), /*interrupt=*/true)); }
 
-void Cpu::SubmitInterrupt(JobKind* kind, Spl level, SimDuration duration,
-                          std::function<void()> action) {
-  Holder holder = TakeHolder();
-  Job& job = holder->job;
-  job.kind = kind;
-  job.level = level;
-  job.steps = TakeSteps();
-  job.steps.push_back(Step{DispatchLatency(), nullptr, level});
+void Cpu::SubmitProcess(Job job) { Enqueue(Hold(std::move(job), /*interrupt=*/false)); }
+
+void Cpu::SubmitInterrupt(JobKind* kind, Spl level, SimDuration duration, Action action) {
+  Job job = NewJob(kind, level);
   job.steps.push_back(Step{duration, std::move(action), level});
-  interrupts_counter_->Increment();
-  Enqueue(std::move(holder));
+  SubmitInterrupt(std::move(job));
 }
 
 Cpu::Holder Cpu::TakeHolder() {
@@ -116,12 +111,13 @@ std::vector<Cpu::Step> Cpu::TakeSteps() {
 
 void Cpu::Recycle(Holder holder) {
   Job& job = holder->job;
-  job.on_done = nullptr;
+  job.on_done.Reset();
   job.steps.clear();
   if (job.steps.capacity() > 0) {
     spare_steps_.push_back(std::move(job.steps));
   }
   holder->next_step = 0;
+  holder->lead = 0;
   spare_holders_.push_back(std::move(holder));
 }
 
@@ -205,7 +201,7 @@ void Cpu::ScheduleNext() {
   if (current_ == nullptr) {
     return;  // idle
   }
-  if (current_->next_step >= current_->job.steps.size()) {
+  if (current_->next_step >= current_->step_count()) {
     // Degenerate job with no steps (or all steps already run): complete it immediately. Its
     // captures die after the nested dispatch, as they did when the job was a local.
     Holder finished = std::move(current_);
@@ -223,25 +219,26 @@ void Cpu::ScheduleNext() {
 
 void Cpu::StartSegment() {
   assert(current_ != nullptr);
-  assert(current_->next_step < current_->job.steps.size());
+  assert(current_->next_step < current_->step_count());
   segment_in_flight_ = true;
-  const Job& job = current_->job;
+  const ActiveJob& active = *current_;
+  const size_t step_count = active.step_count();
   segment_first_ = current_->next_step;
-  segment_level_ = StepLevel(job, segment_first_);
+  segment_level_ = StepLevel(active, segment_first_);
   segment_start_ = sim_->Now();
   segment_ends_.clear();
   SimTime end = segment_start_;
   size_t next = segment_first_;
   while (true) {
-    const Step& step = job.steps[next];
+    const Step& step = active.step(next);
     const SimDuration elapsed = Stretched(step.duration);
     end += elapsed;
     segment_ends_.push_back(end);
     ++next;
     // A zero-time step ends its segment too, so interior boundaries are strictly increasing
     // and "the first boundary after now" is never ambiguous.
-    if (step.action || elapsed == 0 || next == job.steps.size() ||
-        StepLevel(job, next) != segment_level_) {
+    if (step.action || elapsed == 0 || next == step_count ||
+        StepLevel(active, next) != segment_level_) {
       break;
     }
   }
@@ -274,12 +271,12 @@ void Cpu::FinishSegment() {
   }
   CreditSteps(segment_ends_.size());
   segment_ends_.clear();
-  auto action = std::move(current_->job.steps[current_->next_step - 1].action);
+  Action action = std::move(current_->step(current_->next_step - 1).action);
   if (action) {
     action();  // may submit new jobs; segment_in_flight_ still true so no re-entrancy
   }
   segment_in_flight_ = false;
-  if (current_ != nullptr && current_->next_step >= current_->job.steps.size()) {
+  if (current_ != nullptr && current_->next_step >= current_->step_count()) {
     Holder finished = std::move(current_);
     ++jobs_completed_;
     jobs_completed_counter_->Increment();
@@ -295,19 +292,20 @@ void Cpu::CreditSteps(size_t count) {
   if (count == 0) {
     return;
   }
-  const Job& job = current_->job;
+  const ActiveJob& active = *current_;
+  JobKind* kind = active.job.kind;
   const SimDuration elapsed = segment_ends_[count - 1] - segment_start_;
   busy_time_ += elapsed;
-  job.kind->busy += elapsed;
-  job.kind->ran = true;
+  kind->busy += elapsed;
+  kind->ran = true;
   steps_counter_->Increment(count);
   SpanTracer& tracer = sim_->telemetry().tracer;
   if (tracer.enabled()) {
     SimTime start = segment_start_;
     for (size_t i = 0; i < count; ++i) {
       tracer.AddComplete(
-          track_, job.kind->name, start, segment_ends_[i] - start,
-          {{"spl", static_cast<int64_t>(SplValue(job.steps[segment_first_ + i].spl))}});
+          track_, kind->name, start, segment_ends_[i] - start,
+          {{"spl", static_cast<int64_t>(SplValue(active.step(segment_first_ + i).spl))}});
       start = segment_ends_[i];
     }
   }

@@ -26,14 +26,16 @@
 // construction, and keep them, so submitting a job copies no name and looks nothing up.
 //
 // Submitting work allocates nothing in steady state: finished jobs' holders and step vectors
-// are kept and handed to the next jobs (NewJob). See ARCHITECTURE.md, "The CPU model".
+// are kept and handed to the next jobs (NewJob), step actions and on_done are move-only
+// callables that store a `this` pointer plus a packet descriptor in place (Action), and an
+// interrupt's dispatch step lives in its holder instead of being inserted ahead of the
+// caller's steps. See ARCHITECTURE.md, "The CPU model".
 
 #ifndef SRC_HW_CPU_H_
 #define SRC_HW_CPU_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "src/hw/spl.h"
+#include "src/sim/inline_function.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 
@@ -48,10 +51,16 @@ namespace ctms {
 
 class Cpu {
  public:
+  // A step action or on_done. Its 96 bytes hold the largest closure on the per-packet
+  // path, a `this` pointer plus an 88-byte Packet (the receive handler's classify and
+  // deliver steps), so building and running a packet's jobs allocates nothing.
+  // tests/kern_test.cc pins that such a closure fits.
+  using Action = InlineFunction<96>;
+
   struct Step {
     SimDuration duration = 0;
-    std::function<void()> action;  // runs when the step completes; may submit further work
-    Spl spl = Spl::kNone;          // level while this step runs (max'ed with the job level)
+    Action action;         // runs when the step completes; may submit further work
+    Spl spl = Spl::kNone;  // level while this step runs (max'ed with the job level)
   };
 
   // One sort of job and its busy-time account, stable for the CPU's lifetime.
@@ -65,7 +74,7 @@ class Cpu {
     JobKind* kind = nullptr;  // from this CPU's Kind()
     Spl level = Spl::kNone;
     std::vector<Step> steps;
-    std::function<void()> on_done;
+    Action on_done;
   };
 
   Cpu(Simulation* sim, std::string name);
@@ -80,8 +89,9 @@ class Cpu {
   Job NewJob(JobKind* kind, Spl level);
 
   // Submits an interrupt-context job at `job.level`. The configured dispatch latency (plus
-  // jitter) is inserted as an implicit first step, so the first caller-visible action runs
-  // dispatch-latency later even on an idle CPU.
+  // jitter, drawn now) runs as an implicit first step, so the first caller-visible action
+  // runs dispatch-latency later even on an idle CPU. That step is kept in the job's holder,
+  // not in `job.steps`, so submitting moves no step.
   void SubmitInterrupt(Job job);
 
   // Submits base-level (process-context) work with no dispatch latency.
@@ -94,8 +104,7 @@ class Cpu {
   void CancelAll();
 
   // Convenience: one-step interrupt job, built in a recycled job.
-  void SubmitInterrupt(JobKind* kind, Spl level, SimDuration duration,
-                       std::function<void()> action);
+  void SubmitInterrupt(JobKind* kind, Spl level, SimDuration duration, Action action);
 
   // --- DMA interference ---------------------------------------------------------------
   // While count > 0, step durations are multiplied by the stretch factor. Nested calls
@@ -121,9 +130,17 @@ class Cpu {
   const std::string& name() const { return name_; }
 
  private:
+  // A submitted job. Its steps, as the CPU numbers them, are the dispatch step (interrupts
+  // only) followed by job.steps; next_step counts in that numbering.
   struct ActiveJob {
     Job job;
     size_t next_step = 0;
+    size_t lead = 0;  // 1 when `dispatch` is step 0, else 0
+    Step dispatch;    // the interrupt dispatch step: no action, at the job's level
+
+    size_t step_count() const { return lead + job.steps.size(); }
+    Step& step(size_t i) { return i < lead ? dispatch : job.steps[i - lead]; }
+    const Step& step(size_t i) const { return i < lead ? dispatch : job.steps[i - lead]; }
   };
   using Holder = std::unique_ptr<ActiveJob>;
 
@@ -136,6 +153,8 @@ class Cpu {
   void Recycle(Holder holder);
   // The dispatch latency of an interrupt submitted now; draws the jitter.
   SimDuration DispatchLatency();
+  // A holder for `job`, with the dispatch step first when `interrupt`.
+  Holder Hold(Job job, bool interrupt);
   void Enqueue(Holder holder);
   // Called at every segment boundary: picks what runs next.
   void ScheduleNext();
@@ -151,7 +170,7 @@ class Cpu {
   // How many of the in-flight segment's steps, all but the last, have ended by now.
   size_t FinishedSteps() const;
   SimDuration Stretched(SimDuration d) const;
-  Spl StepLevel(const Job& job, size_t step) const;
+  Spl StepLevel(const ActiveJob& active, size_t step) const;
   Spl EffectiveLevel(const ActiveJob& active) const;
 
   Simulation* sim_;

@@ -2,17 +2,18 @@
 //
 // Each adapter owns one engine; a transfer occupies the engine for bytes x rate and, when the
 // host-side buffer lives in system memory, interferes with the CPU for its duration (the
-// IOCC arbitration effect of section 4). Transfers queue FIFO per engine.
+// IOCC arbitration effect of section 4). Transfers queue FIFO per engine. The one transfer
+// in flight is parked in the engine, so its completion event captures only `this`.
 
 #ifndef SRC_HW_DMA_H_
 #define SRC_HW_DMA_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "src/hw/memory.h"
+#include "src/sim/fifo.h"
+#include "src/sim/inline_function.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 
@@ -33,7 +34,8 @@ class DmaEngine {
 
   // Starts (or queues) a transfer of `bytes` with the host-side buffer in `buffer_kind`.
   // `on_done` runs when the transfer completes.
-  void Transfer(int64_t bytes, MemoryKind buffer_kind, std::function<void()> on_done);
+  using Done = InlineFunction<>;
+  void Transfer(int64_t bytes, MemoryKind buffer_kind, Done on_done);
 
   bool busy() const { return busy_; }
   uint64_t transfers_completed() const { return transfers_completed_; }
@@ -42,12 +44,14 @@ class DmaEngine {
 
  private:
   struct Request {
-    int64_t bytes;
-    MemoryKind buffer_kind;
-    std::function<void()> on_done;
+    int64_t bytes = 0;
+    MemoryKind buffer_kind = MemoryKind::kSystemMemory;
+    Done on_done;
   };
 
+  // Parks `request` as the transfer in flight and schedules its completion.
   void Start(Request request);
+  void Finish(bool steals_cpu_cycles);
 
   Simulation* sim_;
   std::string name_;
@@ -55,7 +59,8 @@ class DmaEngine {
   CopyEngine* accounting_;
   SimDuration rate_per_byte_ = 1600;
   bool busy_ = false;
-  std::deque<Request> queue_;
+  Request active_;  // the transfer in flight, while busy_
+  Fifo<Request> queue_;
   uint64_t transfers_completed_ = 0;
   int64_t bytes_transferred_ = 0;
 

@@ -40,8 +40,7 @@ std::optional<Packet> IfQueue::Dequeue() {
   if (queue_.empty()) {
     return std::nullopt;
   }
-  Packet packet = queue_.front();
-  queue_.pop_front();
+  Packet packet = queue_.take_front();
   if (journeys_ != nullptr && sim_ != nullptr) {
     journeys_->Stamp(packet.journey, JourneyStage::kIfqDequeue, sim_->Now());
   }

@@ -8,11 +8,11 @@
 #define SRC_KERN_IFQUEUE_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 
 #include "src/kern/packet.h"
+#include "src/sim/fifo.h"
 #include "src/telemetry/journey.h"
 #include "src/telemetry/metrics.h"
 
@@ -68,7 +68,7 @@ class IfQueue {
 
   std::string name_;
   int maxlen_;
-  std::deque<Packet> queue_;
+  Fifo<Packet> queue_;
   uint64_t drops_ = 0;
   uint64_t enqueued_total_ = 0;
   uint64_t requeues_ = 0;

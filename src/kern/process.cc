@@ -33,8 +33,7 @@ void RelayProcess::RunIteration(bool just_woken) {
     running_ = false;  // back to sleep in read()
     return;
   }
-  const Packet packet = queue_.front();
-  queue_.pop_front();
+  const Packet packet = queue_.take_front();
   queued_bytes_ -= packet.bytes;
 
   Cpu::Job job = kernel_->machine()->cpu().NewJob(kind_, Spl::kNone);

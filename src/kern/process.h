@@ -9,12 +9,12 @@
 #define SRC_KERN_PROCESS_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "src/kern/packet.h"
 #include "src/kern/unix_kernel.h"
+#include "src/sim/fifo.h"
 #include "src/sim/time.h"
 
 namespace ctms {
@@ -56,7 +56,7 @@ class RelayProcess {
   Config config_;
   std::function<void(const Packet&)> forward_;
 
-  std::deque<Packet> queue_;
+  Fifo<Packet> queue_;
   int64_t queued_bytes_ = 0;
   int64_t peak_queued_bytes_ = 0;
   bool running_ = false;

@@ -33,7 +33,7 @@ void UnixKernel::AllocatePayloadOrWait(int64_t bytes, std::function<void(Payload
 }
 
 void UnixKernel::AppendCopySteps(std::vector<Cpu::Step>* steps, int64_t bytes, MemoryKind src,
-                                 MemoryKind dst, Spl spl, std::function<void()> on_done) {
+                                 MemoryKind dst, Spl spl, Cpu::Action on_done) {
   const SimDuration total_cost = machine_->ChargeCpuCopy(bytes, src, dst);
   const int64_t chunk = config_.copy_chunk_bytes;
   if (bytes <= 0) {

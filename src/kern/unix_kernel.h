@@ -45,7 +45,7 @@ class UnixKernel {
   // `src` to `dst` at level `spl`, one per copy chunk. `on_done` runs as the action of the
   // final step.
   void AppendCopySteps(std::vector<Cpu::Step>* steps, int64_t bytes, MemoryKind src,
-                       MemoryKind dst, Spl spl, std::function<void()> on_done = nullptr);
+                       MemoryKind dst, Spl spl, Cpu::Action on_done = nullptr);
 
  private:
   Machine* machine_;

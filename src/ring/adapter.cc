@@ -26,18 +26,15 @@ bool TokenRingAdapter::IssueTransmit(Frame frame, std::function<void(TxStatus)> 
     return false;
   }
   tx_busy_ = true;
+  tx_on_complete_ = std::move(on_complete);
   if (tx_stalled()) {
     // Card firmware is wedged (fault injection): the transmit command is accepted but the
     // frame never reaches the wire; the transmit-complete interrupt reports the failure.
     ++tx_stall_rejects_;
-    machine_->sim()->After(0, [this, journey = frame.journey,
-                               on_complete = std::move(on_complete)]() {
-      tx_busy_ = false;
+    machine_->sim()->After(0, [this, journey = frame.journey]() {
       machine_->sim()->telemetry().journeys.Abort(journey, JourneyAnomaly::kDrop,
                                                   machine_->sim()->Now());
-      if (on_complete) {
-        on_complete(TxStatus::kAdapterStalled);
-      }
+      OnTxDone(TxStatus::kAdapterStalled);
     });
     return true;
   }
@@ -48,24 +45,29 @@ bool TokenRingAdapter::IssueTransmit(Frame frame, std::function<void(TxStatus)> 
   // Card DMA pulls the packet out of the host fixed DMA buffer, then the wire transmission
   // is requested. Completion (and the destination's copy acknowledgment) arrives at
   // hardware-interrupt time via on_complete.
-  tx_dma_.Transfer(frame.payload_bytes, config_.dma_buffer_kind,
-                   [this, frame = std::move(frame), on_complete = std::move(on_complete)]() mutable {
-                     machine_->sim()->telemetry().journeys.Stamp(
-                         frame.journey, JourneyStage::kAdapterDma, machine_->sim()->Now());
-                     ring_->RequestTransmit(
-                         std::move(frame),
-                         [this, on_complete = std::move(on_complete)](TxStatus status) {
-                           tx_busy_ = false;
-                           if (Delivered(status)) {
-                             ++frames_transmitted_;
-                             frames_transmitted_counter_->Increment();
-                           }
-                           if (on_complete) {
-                             on_complete(status);
-                           }
-                         });
-                   });
+  tx_frame_ = std::move(frame);
+  tx_dma_.Transfer(tx_frame_.payload_bytes, config_.dma_buffer_kind, [this]() { OnTxDmaDone(); });
   return true;
+}
+
+void TokenRingAdapter::OnTxDmaDone() {
+  machine_->sim()->telemetry().journeys.Stamp(tx_frame_.journey, JourneyStage::kAdapterDma,
+                                              machine_->sim()->Now());
+  ring_->RequestTransmit(std::move(tx_frame_), [this](TxStatus status) { OnTxDone(status); });
+}
+
+void TokenRingAdapter::OnTxDone(TxStatus status) {
+  tx_busy_ = false;
+  if (Delivered(status)) {
+    ++frames_transmitted_;
+    frames_transmitted_counter_->Increment();
+  }
+  // Taken out first: the completion may issue the next transmit.
+  std::function<void(TxStatus)> on_complete = std::move(tx_on_complete_);
+  tx_on_complete_ = nullptr;
+  if (on_complete) {
+    on_complete(status);
+  }
 }
 
 void TokenRingAdapter::InjectTxStall(SimDuration duration) {
@@ -120,16 +122,13 @@ void TokenRingAdapter::TryStartRxDma() {
   }
   rx_dma_active_ = true;
   --free_host_rx_buffers_;
-  const Frame& frame = onboard_rx_.front();
   const SimDuration jitter =
       config_.rx_processing_jitter > 0
           ? machine_->sim()->rng().UniformDuration(0, config_.rx_processing_jitter)
           : 0;
   machine_->sim()->After(jitter, [this]() {
-    const Frame in_dma = onboard_rx_.front();
-    rx_dma_.Transfer(in_dma.payload_bytes, config_.dma_buffer_kind, [this]() {
-      Frame done = std::move(onboard_rx_.front());
-      onboard_rx_.pop_front();
+    rx_dma_.Transfer(onboard_rx_.front().payload_bytes, config_.dma_buffer_kind, [this]() {
+      Frame done = onboard_rx_.take_front();
       onboard_rx_depth_gauge_->Set(static_cast<int64_t>(onboard_rx_.size()));
       rx_dma_active_ = false;
       ++frames_received_;
@@ -140,7 +139,6 @@ void TokenRingAdapter::TryStartRxDma() {
       TryStartRxDma();
     });
   });
-  (void)frame;
 }
 
 void TokenRingAdapter::ReleaseRxBuffer() {

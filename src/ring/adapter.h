@@ -18,7 +18,6 @@
 #define SRC_RING_ADAPTER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "src/hw/dma.h"
@@ -26,6 +25,7 @@
 #include "src/hw/memory.h"
 #include "src/ring/frame.h"
 #include "src/ring/token_ring.h"
+#include "src/sim/fifo.h"
 
 namespace ctms {
 
@@ -111,6 +111,10 @@ class TokenRingAdapter {
   DmaEngine& rx_dma() { return rx_dma_; }
 
  private:
+  // The transmit in flight, parked in tx_frame_/tx_on_complete_: its DMA out of the host
+  // buffer ended, and its ring transmission ended.
+  void OnTxDmaDone();
+  void OnTxDone(TxStatus status);
   void TryStartRxDma();
 
   Machine* machine_;
@@ -121,10 +125,14 @@ class TokenRingAdapter {
   DmaEngine rx_dma_;
 
   bool tx_busy_ = false;
+  // The one transmit in flight (tx_busy_): the frame until the ring takes it, and the
+  // driver's completion until it runs.
+  Frame tx_frame_;
+  std::function<void(TxStatus)> tx_on_complete_;
   int access_priority_floor_ = 0;
   RxHandler rx_handler_;
   MacHandler mac_handler_;
-  std::deque<Frame> onboard_rx_;  // includes the frame currently being DMA'd (front)
+  Fifo<Frame> onboard_rx_;  // includes the frame currently being DMA'd (front)
   int free_host_rx_buffers_;
   bool rx_dma_active_ = false;
   SimTime tx_stalled_until_ = 0;

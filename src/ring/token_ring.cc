@@ -69,14 +69,14 @@ void TokenRing::RequestTransmit(Frame frame, std::function<void(TxStatus)> on_co
   // Insert keeping the queue sorted by priority descending, FIFO within a priority. This is
   // the observable effect of the 802.5 reservation scheme: a priority-6 CTMSP frame passes
   // queued priority-0 data frames of other stations but cannot preempt the wire.
-  auto it = pending_.begin();
-  while (it != pending_.end() && it->frame.priority >= tx.frame.priority) {
-    ++it;
+  size_t at = 0;
+  while (at < pending_.size() && pending_[at].frame.priority >= tx.frame.priority) {
+    ++at;
   }
-  if (it != pending_.end()) {
+  if (at < pending_.size()) {
     ++priority_preemptions_;  // queued ahead of at least one waiting lower-priority frame
   }
-  pending_.insert(it, std::move(tx));
+  pending_.insert(at, std::move(tx));
   ServeNext();
 }
 
@@ -93,9 +93,7 @@ void TokenRing::ServeNext() {
     });
     return;
   }
-  PendingTx tx = std::move(pending_.front());
-  pending_.pop_front();
-  BeginTransmission(std::move(tx));
+  BeginTransmission(pending_.take_front());
 }
 
 void TokenRing::BeginTransmission(PendingTx tx) {

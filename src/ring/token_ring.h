@@ -16,13 +16,13 @@
 #define SRC_RING_TOKEN_RING_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <vector>
 
 #include "src/ring/frame.h"
+#include "src/sim/fifo.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 
@@ -141,7 +141,7 @@ class TokenRing {
   struct PendingTx {
     Frame frame;
     std::function<void(TxStatus)> on_complete;
-    uint64_t order;  // for FIFO within a priority
+    uint64_t order = 0;  // for FIFO within a priority
   };
 
   // Starts the next transmission if the ring is free and something is queued.
@@ -159,7 +159,7 @@ class TokenRing {
   RingAddress next_address_ = 1;
   int passive_stations_ = 0;
 
-  std::deque<PendingTx> pending_;  // sorted: priority desc, then order asc
+  Fifo<PendingTx> pending_;  // sorted: priority desc, then order asc
   uint64_t next_order_ = 0;
   uint64_t next_frame_id_ = 1;
   std::optional<PendingTx> in_flight_;

@@ -39,7 +39,7 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  using Action = InlineFunction;
+  using Action = InlineFunction<>;
 
   struct Config {
     // Both must be powers of two so the per-event bucket math is a shift and a mask, not

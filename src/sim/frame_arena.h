@@ -31,8 +31,9 @@
 //
 // Lifetime invariant: a *charged* PayloadRef must never outlive the MbufPool it is charged
 // against. Charges exist only between source allocation and the transmit command (or drop),
-// inside station-owned queues and CPU jobs, all of which are drained by ~Station while the
-// kernel (and its pool) is still alive. The arena itself is a Simulation member declared
+// inside station-owned queues, the driver's parked transmit packet and CPU jobs, all of
+// which die while the kernel (and its pool) is still alive: ~Station drains the CPU, and
+// its ports (queues, driver) are destroyed before its kernel. The arena itself is a Simulation member declared
 // before the event queue, so any closure in the queue that still holds a PayloadRef dies
 // before the arena does; ~FrameArena never invokes leftover charges.
 
@@ -99,7 +100,9 @@ struct FrameSlot {
 class PayloadRef {
  public:
   PayloadRef() = default;
-  PayloadRef(const PayloadRef& other);
+  // noexcept, so a closure holding a `const Packet` (a capture of a `const Packet&`) is
+  // nothrow-movable and stays inside an InlineFunction's buffer.
+  PayloadRef(const PayloadRef& other) noexcept;
   PayloadRef& operator=(const PayloadRef& other);
   PayloadRef(PayloadRef&& other) noexcept : arena_(other.arena_), slot_(other.slot_) {
     other.arena_ = nullptr;
@@ -248,7 +251,7 @@ inline FrameHandle PayloadRef::handle() const {
   return slot_ == nullptr ? FrameHandle{} : FrameHandle{slot_->index, slot_->generation};
 }
 
-inline PayloadRef::PayloadRef(const PayloadRef& other)
+inline PayloadRef::PayloadRef(const PayloadRef& other) noexcept
     : arena_(other.arena_), slot_(other.slot_) {
   if (slot_ != nullptr) {
     ++slot_->refcount;

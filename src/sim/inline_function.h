@@ -1,25 +1,57 @@
-// Small-buffer-optimized move-only callable for the event core.
+// Small-buffer-optimized move-only callable for the event core and the CPU model.
 //
 // The discrete-event hot path schedules millions of short-lived callbacks. `std::function`
 // heap-allocates for any capture beyond its (implementation-defined) tiny inline buffer and
-// drags along copyability machinery the queue never uses. InlineFunction stores captures up
-// to kInlineBytes in place — sized to cover every closure the stack schedules today (a
-// `this` pointer plus a packet descriptor or a couple of shared_ptrs) — and falls back to
-// one heap allocation only for oversized or throwing-move captures.
+// drags along copyability machinery the queue never uses. InlineFunction<kInlineBytes>
+// stores captures up to kInlineBytes in place and falls back to one heap allocation only
+// for oversized or throwing-move captures. Each user picks the capacity its hot closures
+// need: the event queue's 48 bytes hold a `this` pointer plus a few scalars or
+// shared_ptrs, and the CPU's step actions (Cpu::Action) hold a `this` pointer plus a
+// packet descriptor. Owners whose in-flight state is bigger than that (a DMA request, a
+// frame at the adapter, the driver's packet at the transmit command) park it in a member
+// and capture only `this`. StoresInline<F>() tells at compile time which way a callable
+// goes, so a capture that outgrows its buffer can be made a build error.
+//
+// A source that is itself empty (a null function pointer, an empty std::function or
+// InlineFunction) gives an empty InlineFunction, so `if (f)` still tells whether there is
+// anything to run.
 
 #ifndef SRC_SIM_INLINE_FUNCTION_H_
 #define SRC_SIM_INLINE_FUNCTION_H_
 
 #include <cstddef>
+#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace ctms {
 
+template <size_t kInlineBytes = 48>
+class InlineFunction;
+
+namespace internal {
+
+// Callables that can be empty, and are tested with operator bool before being wrapped.
+template <typename D>
+inline constexpr bool kMayBeEmpty = std::is_pointer_v<D>;
+template <typename Signature>
+inline constexpr bool kMayBeEmpty<std::function<Signature>> = true;
+template <size_t kBytes>
+inline constexpr bool kMayBeEmpty<InlineFunction<kBytes>> = true;
+
+}  // namespace internal
+
+template <size_t kInlineBytes>
 class InlineFunction {
  public:
-  static constexpr size_t kInlineBytes = 48;
+  // True when a callable of type F is stored in place, with no heap allocation.
+  template <typename F>
+  static constexpr bool StoresInline() {
+    using D = std::decay_t<F>;
+    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
 
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -28,8 +60,12 @@ class InlineFunction {
             typename = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
                                         std::is_invocable_r_v<void, D&>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+    if constexpr (internal::kMayBeEmpty<D>) {
+      if (!f) {
+        return;
+      }
+    }
+    if constexpr (StoresInline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       ops_ = &InlineOps<D>::kOps;
     } else {

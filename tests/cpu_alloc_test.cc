@@ -1,6 +1,8 @@
-// Allocation regression test for the CPU job path: once warmed up, building, submitting and
-// running jobs makes no heap allocation. It replaces the global operator new with a counting
-// one, so it is its own executable; the sanitizer builds of ctms_tests keep their allocator.
+// Allocation regression tests for the packet path: once warmed up, building, submitting and
+// running CPU jobs makes no heap allocation, and neither does a whole experiment carrying
+// packets from the VCA interrupt to the sink. They replace the global operator new with a
+// counting one, so they are their own executable; the sanitizer builds of ctms_tests keep
+// their allocator.
 //
 // The measured loop mixes what the network stack does per packet: one-step interrupts
 // (captures of at most 16 bytes, stored inline), NewJob jobs with chunked copy steps,
@@ -17,6 +19,10 @@
 #include <new>
 #include <string>
 
+#include "src/core/experiment.h"
+#include "src/core/media_mix.h"
+#include "src/core/scenario.h"
+#include "src/core/scenario_cli.h"
 #include "src/hw/cpu.h"
 #include "src/hw/machine.h"
 #include "src/hw/memory.h"
@@ -156,6 +162,82 @@ TEST(CpuAllocTest, SteadyStateJobPathAllocatesNothing) {
   const std::map<std::string, SimDuration> busy = rig.cpu().busy_by_job();
   EXPECT_GT(busy.at("tr-tx-complete-handler"), 0);
   EXPECT_GT(busy.at("tr-rx-copy-to-mbufs"), 0);
+}
+
+// --- whole experiments ------------------------------------------------------------------
+//
+// After a warm-up, a packet's whole path allocates nothing: the VCA interrupt and packet
+// build, the interface queue, the transmit job, DMA, the adapter, the ring's pending queue,
+// the receive handler, the sink and its playout buffer. Before these paths were made
+// allocation-free, a delivered packet cost about ten allocations.
+//
+// A whole experiment still allocates now and then in steady state, but not per packet: its
+// measurement logs (TAP frame records, probe timestamps, latency samples) double their
+// vectors as they grow, and a pool, a queue or a timer-wheel bucket grows when the run sets
+// a new high-water mark. Both are geometric in the run length. The bound below (one
+// allocation per hundred packets) is far below what any per-packet allocation would cost,
+// and far above what that growth costs over the window.
+
+constexpr SimTime kWarmUp = Seconds(60);
+constexpr SimDuration kWindow = Seconds(30);
+constexpr uint64_t kPacketsPerAllowedAllocation = 100;
+
+TEST(PacketPathAllocTest, TestCaseAAllocatesNothingPerPacket) {
+  CtmsConfig config = TestCaseA();
+  config.duration = kWarmUp + kWindow;
+  CtmsExperiment experiment(config);
+  experiment.Start();
+  experiment.sim().RunUntil(kWarmUp);
+  const uint64_t delivered_before = experiment.sink().packets_accepted();
+  const size_t before = g_allocations;
+  experiment.sim().RunUntil(kWarmUp + kWindow);
+  const size_t allocations = g_allocations - before;
+  const uint64_t delivered = experiment.sink().packets_accepted() - delivered_before;
+  EXPECT_GE(delivered, 2400u);  // one packet per 12 ms tick
+  EXPECT_LT(allocations, delivered / kPacketsPerAllowedAllocation)
+      << allocations << " allocations while " << delivered << " packets were delivered";
+}
+
+// The perfbench mediamix_overload mix (14 classed streams on a nearly saturated ring, with
+// the quality controller re-ranking classes every epoch), run for longer.
+TEST(PacketPathAllocTest, ClassedMediaMixAllocatesNothingPerPacket) {
+  ScenarioConfig cli;
+  std::string error;
+  ASSERT_TRUE(ApplyScenarioAxis(&cli, "experiment", "mediamix", &error)) << error;
+  ASSERT_TRUE(ApplyScenarioAxis(&cli, "mix", "voice:8,vbr:4,bulk:2", &error)) << error;
+  ASSERT_TRUE(ApplyScenarioAxis(&cli, "duration", "90", &error)) << error;
+  ASSERT_TRUE(ApplyScenarioPresenceFlag(&cli, "quality-controller"));
+  ASSERT_EQ(ValidateScenarioConfig(cli), "");
+  MediaMixExperiment experiment(MediaMixConfigFrom(cli));
+  ASSERT_EQ(experiment.sim().Now() + kWarmUp + kWindow, Seconds(90));
+
+  // Run() drives the whole experiment, so the window is opened and closed by two events
+  // scheduled ahead of it. They only read counters.
+  const auto delivered = [&experiment]() {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < experiment.stream_count(); ++i) {
+      sum += experiment.endpoints(i).sink().packets_accepted();
+    }
+    return sum;
+  };
+  uint64_t delivered_before = 0;
+  uint64_t delivered_in_window = 0;
+  size_t before = 0;
+  size_t allocations = 0;
+  experiment.sim().At(kWarmUp, [&]() {
+    delivered_before = delivered();
+    before = g_allocations;
+  });
+  experiment.sim().At(kWarmUp + kWindow, [&]() {
+    allocations = g_allocations - before;
+    delivered_in_window = delivered() - delivered_before;
+  });
+  const MediaMixReport report = experiment.Run();
+  EXPECT_GE(delivered_in_window, 20000u);
+  EXPECT_LT(allocations, delivered_in_window / kPacketsPerAllowedAllocation)
+      << allocations << " allocations while " << delivered_in_window
+      << " packets were delivered";
+  EXPECT_GT(report.controller_epochs, 0u);
 }
 
 }  // namespace

@@ -33,6 +33,25 @@ static_assert(sizeof(Frame) == 104,
               "PacketFromFrame, extend WireBoundaryTest, then re-pin this size");
 #endif
 
+// The receive handler's CPU steps capture `this` plus a Packet, by value or from a
+// `const Packet&`; both must stay in Cpu::Action's buffer, or every received packet pays a
+// heap allocation again (tests/cpu_alloc_test.cc counts them).
+struct ThisAndPacket {
+  void* self;
+  Packet packet;
+  void operator()() {}
+};
+struct ThisAndConstPacket {
+  void* self;
+  const Packet packet;
+  void operator()() {}
+};
+static_assert(Cpu::Action::StoresInline<ThisAndPacket>(),
+              "a `this` pointer plus a Packet no longer fits Cpu::Action: grow the action "
+              "buffer in src/hw/cpu.h with Packet");
+static_assert(Cpu::Action::StoresInline<ThisAndConstPacket>(),
+              "a `this` pointer plus a const Packet no longer fits Cpu::Action");
+
 TEST(WireBoundaryTest, StampAndRebuildRoundTripEveryField) {
   MbufPool pool;
   FrameArena arena;
@@ -274,7 +293,8 @@ class KernelFixture : public ::testing::Test {
 TEST_F(KernelFixture, CopyStepsTotalIsExact) {
   // 2000 bytes at 1 us/byte must total exactly 2000 us across chunked steps, appended after
   // the steps already there.
-  std::vector<Cpu::Step> steps(1, Cpu::Step{Microseconds(7), nullptr, Spl::kImp});
+  std::vector<Cpu::Step> steps;
+  steps.push_back(Cpu::Step{Microseconds(7), nullptr, Spl::kImp});
   kernel_.AppendCopySteps(&steps, 2000, MemoryKind::kSystemMemory, MemoryKind::kIoChannelMemory,
                           Spl::kImp);
   ASSERT_EQ(steps.size(), 5u);  // the existing step, then 512-byte chunks

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/sim/event_queue.h"
+#include "src/sim/fifo.h"
 #include "src/sim/inline_function.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulation.h"
@@ -365,6 +369,73 @@ TEST(InlineFunctionTest, ResetReleasesCaptures) {
   f.Reset();
   EXPECT_EQ(resource.use_count(), 1);
   EXPECT_FALSE(static_cast<bool>(f));
+}
+
+TEST(InlineFunctionTest, EmptySourceGivesEmptyFunction) {
+  // An empty std::function, a null function pointer or an empty InlineFunction of another
+  // capacity wraps to an empty callable, not to one that throws when called.
+  const std::function<void()> empty_std;
+  void (*null_pointer)() = nullptr;
+  InlineFunction<96> empty_other;
+  EXPECT_FALSE(static_cast<bool>(InlineFunction<>(empty_std)));
+  EXPECT_FALSE(static_cast<bool>(InlineFunction<>(null_pointer)));
+  EXPECT_FALSE(static_cast<bool>(InlineFunction<>(std::move(empty_other))));
+  // A non-empty source of the same types is still wrapped and runs.
+  int hits = 0;
+  InlineFunction<> from_std(std::function<void()>([&hits]() { ++hits; }));
+  ASSERT_TRUE(static_cast<bool>(from_std));
+  from_std();
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(FifoTest, KeepsOrderAcrossWrapGrowthAndInsert) {
+  Fifo<int> fifo;
+  std::deque<int> model;
+  int next = 0;
+  // Cycle through pushes and pops so the head wraps before and after each growth.
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < round % 7 + 1; ++i) {
+      fifo.push_back(next);
+      model.push_back(next++);
+    }
+    if (round % 5 == 0) {
+      fifo.push_front(-round);
+      model.push_front(-round);
+    }
+    if (round % 3 == 0) {
+      const size_t at = model.size() / 2;
+      fifo.insert(at, 1000 + round);
+      model.insert(model.begin() + static_cast<std::ptrdiff_t>(at), 1000 + round);
+    }
+    for (int i = 0; i < round % 5 && !model.empty(); ++i) {
+      ASSERT_EQ(fifo.take_front(), model.front());
+      model.pop_front();
+    }
+    ASSERT_EQ(fifo.size(), model.size());
+    for (size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(fifo[i], model[i]);
+    }
+  }
+}
+
+TEST(FifoTest, PopReleasesTheElementAtOnce) {
+  auto resource = std::make_shared<int>(1);
+  Fifo<std::shared_ptr<int>> fifo;
+  fifo.push_back(resource);
+  fifo.push_back(nullptr);
+  EXPECT_EQ(resource.use_count(), 2);
+  fifo.pop_front();
+  EXPECT_EQ(resource.use_count(), 1);
+  EXPECT_EQ(fifo.size(), 1u);
+}
+
+TEST(InlineFunctionTest, CapacityDecidesWhatStaysInline) {
+  struct Capture {
+    std::array<char, 96> bytes;
+    void operator()() {}
+  };
+  EXPECT_FALSE(InlineFunction<>::StoresInline<Capture>());
+  EXPECT_TRUE(InlineFunction<96>::StoresInline<Capture>());
 }
 
 TEST(SimulationTest, ClockAdvancesWithEvents) {
